@@ -684,9 +684,6 @@ type (
 	ClusterDirectory = control.Directory
 	// ClusterNodeHealth is one directory entry's last known state.
 	ClusterNodeHealth = control.NodeHealth
-	// ClusterBalancer re-places segments of a remote deployment between
-	// nodes from stats-epoch skew (the cluster form of Balancer).
-	ClusterBalancer = control.ClusterBalancer
 	// ClusterSupervisor fails deployments over when the directory reports a
 	// node down: journals replay the in-flight items onto a healthy
 	// survivor and the flow keeps running.
@@ -743,7 +740,6 @@ var (
 // Cluster control-plane constructors and errors.
 var (
 	NewClusterDirectory  = control.NewDirectory
-	NewClusterBalancer   = control.NewClusterBalancer
 	NewClusterSupervisor = control.NewSupervisor
 	NewClusterOperator   = control.NewOperator
 	DialOperator         = control.DialOperator

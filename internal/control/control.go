@@ -17,13 +17,11 @@
 //     (see graph.GraphStats.Nodes); cmd/ipctl renders the same snapshot for
 //     operators.
 //
-//   - ClusterBalancer — the cluster form of the PR-4 Balancer: it polls
-//     deployment stats on an epoch, detects per-node load skew from item
-//     deltas (the same skew math as graph.Balancer), and re-places the
-//     busiest movable segment from the hottest node onto the coolest
-//     through Deployment.Replace — drain, detach, recompose, redial — so
-//     placement across hosts is runtime policy, exactly as it already is
-//     across shards.
+//   - Supervisor — turns the directory's down transitions into failovers
+//     (Deployment.FailOver); Directory.PlaceOrphans is the placement policy
+//     it shares with the elastic drain.  Load balancing across nodes needs
+//     no component of its own: graph.Deployment.Balance drives Replace on
+//     an OnNodes deployment exactly as it drives Rebalance across shards.
 //
 // RAFDA's argument — distribution policy bound and re-bound separately from
 // application logic — is the through-line: the graph says nothing about
@@ -34,10 +32,10 @@ package control
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
-	"infopipes/internal/graph"
 	"infopipes/internal/remote"
 )
 
@@ -379,60 +377,48 @@ func (d *Directory) Close() {
 	}
 }
 
-// ClusterBalancer drives policy-driven re-placement of a remote deployment:
-// each Tick snapshots cluster-wide stats over the §2.4 stats op, detects
-// per-node skew from epoch item deltas (the same math as graph.Balancer),
-// and re-places the busiest movable segment from the hottest node onto the
-// coolest via Deployment.Replace.  Segments Replace cannot move (sources,
-// tee hosts, directly wired boundaries) are never proposed.
-type ClusterBalancer struct {
-	d *graph.Deployment
-	b *graph.Balancer
-}
-
-// NewClusterBalancer builds a balancer for one remote deployment; zero
-// policy fields take the graph.BalancePolicy defaults, and the movability
-// filter defaults to Deployment.Replaceable.
-func NewClusterBalancer(d *graph.Deployment, p graph.BalancePolicy) *ClusterBalancer {
-	if p.Movable == nil {
-		p.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
-	}
-	return &ClusterBalancer{d: d, b: graph.NewBalancer(p)}
-}
-
-// Tick runs one balancing epoch: snapshot, plan, and re-place if the skew
-// warrants it.  Reports whether a move was made.
-func (cb *ClusterBalancer) Tick() (bool, error) {
-	hints, ok := cb.b.Plan(cb.d.Stats())
-	if !ok {
-		return false, nil
-	}
-	if err := cb.d.Replace(hints); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Run ticks the balancer on an interval until stop closes or a tick fails
-// with anything but a benign skip.  The returned count is the number of
-// moves made.
-func (cb *ClusterBalancer) Run(every time.Duration, stop <-chan struct{}) (int, error) {
-	moves := 0
-	//ipvet:allow wallclock balancer tick interval is operator policy on the real cluster
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return moves, nil
-		case <-t.C:
-			moved, err := cb.Tick()
-			if err != nil {
-				return moves, err
-			}
-			if moved {
-				moves++
-			}
+// PlaceOrphans spreads the segments a deployment has on node from (its
+// SegmentPlacements) over the healthy, registered nodes: each orphan, in
+// sorted name order, goes to the node currently hosting the fewest of the
+// deployment's segments, ties to the lowest index — so two placements of
+// the same cluster state agree.  It is the one re-placement policy of the
+// control plane: Supervisor failover and elastic.Cluster drain both use it.
+// Returns nil hints when nothing lives on from, and an error when there is
+// something to place but no healthy node to take it.
+func (d *Directory) PlaceOrphans(placed map[string]int, from int) (map[string]int, error) {
+	load := make(map[int]int)
+	for _, h := range d.Snapshot() {
+		if idx := d.NodeIndex(h.Name); h.Healthy && !h.Left && idx != from {
+			load[idx] = 0
 		}
 	}
+	var orphans []string
+	for seg, node := range placed {
+		if node == from {
+			orphans = append(orphans, seg)
+		} else if _, ok := load[node]; ok {
+			load[node]++
+		}
+	}
+	if len(orphans) == 0 {
+		return nil, nil
+	}
+	if len(load) == 0 {
+		return nil, fmt.Errorf("control: no healthy node left to place %d segment(s) on", len(orphans))
+	}
+	// The greedy assignment mutates load as it places, so the orphan order
+	// decides the placement: sort it (caught by ipvet).
+	sort.Strings(orphans)
+	hints := make(map[string]int, len(orphans))
+	for _, seg := range orphans {
+		best, bestLoad := -1, 0
+		for idx, n := range load {
+			if best < 0 || n < bestLoad || (n == bestLoad && idx < best) {
+				best, bestLoad = idx, n
+			}
+		}
+		hints[seg] = best
+		load[best]++
+	}
+	return hints, nil
 }

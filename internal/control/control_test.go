@@ -158,11 +158,13 @@ func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 	}
 }
 
-// TestClusterBalancerMovesHotSegment: a 2-node cluster with three chain
-// segments piled onto beta; one balancer tick detects the per-node item
-// skew over the stats op and re-places the movable segment onto alpha,
-// with every item still delivered in order.
-func TestClusterBalancerMovesHotSegment(t *testing.T) {
+// TestBalanceMovesHotSegmentAcrossNodes: a 2-node cluster with three chain
+// segments piled onto beta; one Deployment.Balance epoch detects the
+// per-node item skew over the stats op and re-places the movable segment
+// onto alpha (Rebalance on an OnNodes deployment is Replace, and the
+// balancer only proposes Replaceable segments), with every item still
+// delivered in order.
+func TestBalanceMovesHotSegmentAcrossNodes(t *testing.T) {
 	const items = 200
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -221,10 +223,9 @@ func TestClusterBalancerMovesHotSegment(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cb := control.NewClusterBalancer(d, graph.BalancePolicy{SkewThreshold: 1.5, MinItems: 32})
-	moved, err := cb.Tick()
+	moved, err := d.Balance(graph.NewBalancer(graph.BalancePolicy{SkewThreshold: 1.5, MinItems: 32}))
 	if err != nil {
-		t.Fatalf("tick: %v", err)
+		t.Fatalf("balance: %v", err)
 	}
 	if !moved {
 		t.Fatalf("balancer made no move; stats:\n%v", d.Stats())

@@ -3,7 +3,6 @@ package control
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,9 +18,10 @@ import (
 // the error.
 //
 // Placement policy is deliberately simple — each orphaned segment goes to
-// the healthy survivor currently hosting the fewest segments — and lives
-// here, not in the graph: like the balancer, failover placement is control
-// policy bound at runtime, never in the flow.
+// the healthy survivor currently hosting the fewest segments (see
+// Directory.PlaceOrphans) — and lives in the control plane, not in the
+// graph: like the balancer, failover placement is control policy bound at
+// runtime, never in the flow.
 type Supervisor struct {
 	// Attempts bounds how many placements are tried per dead node before
 	// the deployments are failed (default 3; values below 1 are treated as
@@ -104,7 +104,7 @@ func (s *Supervisor) nodeDown(name string, downErr error) {
 				//ipvet:allow wallclock failover retry backoff; real recovery time, not flow time
 				time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff)/2+1)))
 			}
-			hints, err := s.placements(d, dead)
+			hints, err := s.dir.PlaceOrphans(d.SegmentPlacements(), dead)
 			if err != nil {
 				lastErr = err
 				continue // a survivor may come back healthy before the next try
@@ -131,43 +131,4 @@ func (s *Supervisor) nodeDown(name string, downErr error) {
 				name, downErr, attempts, lastErr))
 		}
 	}
-}
-
-// placements assigns every segment the deployment has on the dead node to
-// the healthy survivor hosting the fewest segments, spreading the orphans.
-func (s *Supervisor) placements(d *graph.Deployment, dead int) (map[string]int, error) {
-	placed := d.SegmentPlacements()
-	load := make(map[int]int)
-	for _, h := range s.dir.Snapshot() {
-		if idx := s.dir.NodeIndex(h.Name); h.Healthy && idx != dead {
-			load[idx] = 0
-		}
-	}
-	if len(load) == 0 {
-		return nil, fmt.Errorf("control: no healthy node left to fail over to")
-	}
-	var orphans []string
-	for seg, node := range placed {
-		if node == dead {
-			orphans = append(orphans, seg)
-		} else if _, ok := load[node]; ok {
-			load[node]++
-		}
-	}
-	// The greedy least-loaded assignment below mutates load as it places,
-	// so the orphan order decides the placement: sort it, or two failovers
-	// of the same cluster state pick different homes (caught by ipvet).
-	sort.Strings(orphans)
-	hints := make(map[string]int, len(orphans))
-	for _, seg := range orphans {
-		best, bestLoad := -1, 0
-		for idx, n := range load {
-			if best < 0 || n < bestLoad || (n == bestLoad && idx < best) {
-				best, bestLoad = idx, n
-			}
-		}
-		hints[seg] = best
-		load[best]++
-	}
-	return hints, nil
 }

@@ -113,6 +113,15 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 		return nil, fmt.Errorf("compose %q: %w", name, err)
 	}
 	plan.Specs = specs
+	// Control events may arrive from outside the thread system at any
+	// time (application goroutines, remote nodes), so an idle scheduler
+	// must wait rather than declare deadlock while this pipeline lives.
+	// The reference is taken before any thread spawns: a scheduler whose
+	// Run already returned refuses it, and the pipeline fails to compose
+	// instead of composing threads that never run.
+	if err := sched.AddExternalSource(); err != nil {
+		return nil, fmt.Errorf("compose %q: %w", name, err)
+	}
 
 	if bus == nil {
 		bus = &events.Bus{}
@@ -153,10 +162,6 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 			p.subs = append(p.subs, bus.Subscribe(sched, th))
 		}
 	}
-	// Control events may arrive from outside the thread system at any
-	// time (application goroutines, remote nodes), so an idle scheduler
-	// must wait rather than declare deadlock while this pipeline lives.
-	sched.AddExternalSource()
 	return p, nil
 }
 

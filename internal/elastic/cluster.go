@@ -21,7 +21,6 @@ package elastic
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"infopipes/internal/control"
@@ -221,55 +220,20 @@ func (c *Cluster) Drain(name string) error {
 }
 
 // drainOne moves one deployment's segments off the node at idx; returns how
-// many it moved.
+// many it moved.  Placement is the supervisor's failover policy
+// (Directory.PlaceOrphans).
 func (c *Cluster) drainOne(d *graph.Deployment, idx int) (int, error) {
-	placed := d.SegmentPlacements()
-	var orphans []string
-	load := make(map[int]int)
-	for _, h := range c.dir.Snapshot() {
-		if i := c.dir.NodeIndex(h.Name); h.Healthy && !h.Left && i != idx {
-			load[i] = 0
-		}
+	hints, err := c.dir.PlaceOrphans(d.SegmentPlacements(), idx)
+	if err != nil || len(hints) == 0 {
+		return 0, err
 	}
-	for seg, node := range placed {
-		if node == idx {
-			orphans = append(orphans, seg)
-		} else if _, ok := load[node]; ok {
-			load[node]++
-		}
-	}
-	if len(orphans) == 0 {
-		return 0, nil
-	}
-	if len(load) == 0 {
-		return 0, fmt.Errorf("no healthy node left to drain onto")
-	}
-	// Refuse before moving anything: a drain is all-or-nothing per
-	// deployment, and an immovable segment (trunk split host, merge host)
-	// means the operator must restructure first.
-	for _, seg := range orphans {
-		if err := d.Replaceable(seg); err != nil {
-			return 0, err
-		}
-	}
-	// Deterministic greedy least-loaded, same policy as supervisor
-	// failover: sorted orphans, ties to the lowest index.
-	sort.Strings(orphans)
-	hints := make(map[string]int, len(orphans))
-	for _, seg := range orphans {
-		best, bestLoad := -1, 0
-		for i, n := range load {
-			if best < 0 || n < bestLoad || (n == bestLoad && i < best) {
-				best, bestLoad = i, n
-			}
-		}
-		hints[seg] = best
-		load[best]++
-	}
+	// Replace validates every hint before moving anything, so a drain is
+	// all-or-nothing per deployment: an immovable segment (trunk split
+	// host, merge host) means the operator must restructure first.
 	if err := d.Replace(hints); err != nil {
 		return 0, err
 	}
-	return len(orphans), nil
+	return len(hints), nil
 }
 
 // Leave tombstones a drained node out of the cluster: every managed

@@ -55,6 +55,52 @@ func contiguous(t *testing.T, name string, items []*item.Item) (first, last int6
 	return items[0].Seq, items[len(items)-1].Seq
 }
 
+// treeStats renders every deployment of the tree for a failure diagnosis.
+func treeStats(tree *elastic.Tree) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "trunk:\n%v", tree.Trunk().Stats())
+	for r := 0; r < tree.Relays(); r++ {
+		fmt.Fprintf(&b, "relay %d:\n%v", r, tree.Relay(r).Stats())
+	}
+	return b.String()
+}
+
+// pollTree polls cond until it holds, failing with a Stats dump of the
+// tree instead of hanging when it does not within the deadline.
+func pollTree(t *testing.T, tree *elastic.Tree, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: timed out; stats:\n%s", what, treeStats(tree))
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// waitTree waits for the tree and then its group to finish, failing with a
+// Stats dump instead of hanging when they do not within the deadline.
+func waitTree(t *testing.T, tree *elastic.Tree, grp *shard.Group) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		if err := tree.Wait(); err != nil {
+			done <- fmt.Errorf("tree wait: %w", err)
+			return
+		}
+		done <- grp.Wait()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		grp.Stop()
+		t.Fatalf("tree never finished; stats:\n%s", treeStats(tree))
+	}
+}
+
 // TestTreeFanOutBasic: a 2-relay tree with two pre-subscribed leaves per
 // relay delivers the byte-identical trunk trace to all four leaves, and a
 // leaf detached mid-stream keeps a clean contiguous prefix.
@@ -86,18 +132,11 @@ func TestTreeFanOutBasic(t *testing.T) {
 	}
 	// Detach one leaf mid-stream; it must keep a contiguous prefix.
 	detached := sinks[3]
-	for detached.Count() < items/8 {
-		time.Sleep(time.Millisecond)
-	}
+	pollTree(t, tree, "detached leaf reaching items/8", func() bool { return detached.Count() >= items/8 })
 	if err := tree.Unsubscribe(subs[3]); err != nil && !errors.Is(err, graph.ErrDeploymentDone) {
 		t.Fatalf("unsubscribe: %v", err)
 	}
-	if err := tree.Wait(); err != nil {
-		t.Fatalf("tree wait: %v", err)
-	}
-	if err := grp.Wait(); err != nil {
-		t.Fatalf("group wait: %v", err)
-	}
+	waitTree(t, tree, grp)
 	want := refSeqTrace(items)
 	for i, sink := range sinks[:3] {
 		if got := seqTrace(sink.Items()); got != want {
@@ -183,23 +222,13 @@ func TestTreeChurn50SeededSurvivors(t *testing.T) {
 				}
 				events++
 				// Liveness: the trunk must keep cycling through the edit.
-				deadline := time.Now().Add(5 * time.Second)
-				for tree.TrunkCycles() <= c0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("trunk pump stalled across churn event %d", events)
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
+				pollTree(t, tree, fmt.Sprintf("trunk pump cycling across churn event %d", events),
+					func() bool { return tree.TrunkCycles() > c0 })
 			}
 			if events < minEvents {
 				t.Fatalf("only %d churn events landed mid-stream, want >= %d", events, minEvents)
 			}
-			if err := tree.Wait(); err != nil {
-				t.Fatalf("tree wait: %v", err)
-			}
-			if err := grp.Wait(); err != nil {
-				t.Fatalf("group wait: %v", err)
-			}
+			waitTree(t, tree, grp)
 
 			want := refSeqTrace(items)
 			for i, sink := range survivors {

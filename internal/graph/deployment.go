@@ -26,19 +26,19 @@ type Deployment struct {
 	remote *remoteDeployment // non-nil for OnNodes deployments
 	ld     *localDeploy      // non-nil for local targets; wiring state for Stats/Rebalance
 
-	// rbMu serializes Rebalance calls against each other (a second
-	// Rebalance waits for the first to finish, then runs on the new
-	// placement).
+	// rbMu serializes the moving verbs — Rebalance, Edit, Replace, FailOver
+	// — against each other (a second call waits for the first to finish,
+	// then runs on the new placement).
 	rbMu sync.Mutex
 
 	mu          sync.Mutex
 	pipelines   []*core.Pipeline
 	bySegment   map[string]*core.Pipeline
 	links       []*shard.Link
-	gen         int  // bumped by every rebalance; stale watchers exit
-	started     bool // Start was requested (re-broadcast after a rebalance)
-	stopReq     bool // Stop was requested (applied after a rebalance)
-	rebalancing bool
+	gen         int  // bumped by every move transaction; stale watchers exit
+	started     bool // Start was requested (re-broadcast after a move)
+	stopReq     bool // Stop was requested (applied after a move)
+	rebalancing bool // a move transaction is in progress
 	finished    bool
 	deployErr   error
 	unpin       func() // releases the group's shard pins exactly once
@@ -156,8 +156,10 @@ func (d *Deployment) Links() []*shard.Link {
 }
 
 // broadcast publishes a control event on the deployment's bus, stamped with
-// the deployment clock.
+// the deployment clock.  The shared virtual clock is held for the duration,
+// so every pipeline sees the event at the same instant.
 func (d *Deployment) broadcast(t events.Type) {
+	defer d.holdClock()()
 	d.bus.Broadcast(events.Event{Type: t, Time: d.now(), Origin: d.name})
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"infopipes/internal/core"
-	"infopipes/internal/events"
 	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
@@ -228,8 +227,10 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		nShards = ld.group.Shards()
 	}
 
-	// Snapshot the declaration layer: a validation or planning failure
-	// restores it and the running flow never notices the attempt.
+	// Snapshot the declaration layer and log every in-place node mutation:
+	// unless the batch commits, the deferred rollback replays the undo log
+	// newest first and restores the snapshot, and the running flow never
+	// notices the attempt.
 	nodesSnap := append([]*node(nil), g.nodes...)
 	edgesSnap := append([]core.GraphEdgeInfo(nil), g.edges...)
 	indexSnap := make(map[string]*node, len(g.index))
@@ -237,12 +238,16 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		indexSnap[k] = v
 	}
 	var undo []func()
-	restore := func() {
+	committed := false
+	defer func() {
+		if committed {
+			return
+		}
 		for i := len(undo) - 1; i >= 0; i-- {
 			undo[i]()
 		}
 		g.nodes, g.edges, g.index = nodesSnap, edgesSnap, indexSnap
-	}
+	}()
 
 	// Phase 1: validate each op and apply it to the declaration layer (ops
 	// see the graph as left by earlier ops in the batch).  The running
@@ -270,19 +275,15 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		case AttachBranch:
 			n, ok := g.index[op.Split]
 			if !ok || n.kind != nSplit {
-				restore()
 				return fmt.Errorf("graph %q: edit: AttachBranch target %q is not a split", d.name, op.Split)
 			}
 			if _, ok := ld.splits[op.Split].(outAdder); !ok {
-				restore()
 				return fmt.Errorf("graph %q: edit: split %q does not support live port surgery", d.name, op.Split)
 			}
 			if len(op.Stages) == 0 {
-				restore()
 				return fmt.Errorf("graph %q: edit: AttachBranch on %q with no stages", d.name, op.Split)
 			}
 			if op.Place < -1 || op.Place >= nShards {
-				restore()
 				return fmt.Errorf("graph %q: edit: AttachBranch on %q placed on shard %d, target has %d",
 					d.name, op.Split, op.Place, nShards)
 			}
@@ -291,7 +292,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 			for _, st := range op.Stages {
 				name, err := fresh(st)
 				if err != nil {
-					restore()
 					return err
 				}
 				nn := &node{name: name, kind: nStage, stage: st, place: op.Place}
@@ -315,22 +315,18 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		case DetachBranch:
 			n, ok := g.index[op.Split]
 			if !ok || n.kind != nSplit {
-				restore()
 				return fmt.Errorf("graph %q: edit: DetachBranch target %q is not a split", d.name, op.Split)
 			}
 			if _, ok := ld.splits[op.Split].(outDetacher); !ok {
-				restore()
 				return fmt.Errorf("graph %q: edit: split %q does not support live port surgery", d.name, op.Split)
 			}
 			branches, planned := plan.SplitBranch[op.Split]
 			if op.Port < 0 || op.Port >= len(branches) || !planned || branches[op.Port] < 0 {
-				restore()
 				return fmt.Errorf("graph %q: edit: split %q has no attached branch at port %d",
 					d.name, op.Split, op.Port)
 			}
 			seg := plan.Segments[branches[op.Port]]
 			if seg.Tail.Kind != core.EndNone {
-				restore()
 				return fmt.Errorf("graph %q: edit: branch %q of split %q feeds further graph structure; only pure sink branches detach",
 					d.name, seg.Name(), op.Split)
 			}
@@ -342,7 +338,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 			for _, name := range rec.stageNames {
 				st, ok := ld.stages[name]
 				if !ok {
-					restore()
 					return fmt.Errorf("graph %q: edit: branch stage %q has no live instance", d.name, name)
 				}
 				rec.stageInsts = append(rec.stageInsts, st)
@@ -377,7 +372,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		case InsertStage:
 			for _, ref := range []string{op.From, op.To} {
 				if n, ok := g.index[ref]; !ok || n.kind != nStage {
-					restore()
 					return fmt.Errorf("graph %q: edit: InsertStage endpoint %q is not a plain stage", d.name, ref)
 				}
 			}
@@ -390,17 +384,14 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 				}
 			}
 			if ei < 0 {
-				restore()
 				return fmt.Errorf("graph %q: edit: no edge %s -> %s", d.name, op.From, op.To)
 			}
 			if g.edges[ei].Cut {
-				restore()
 				return fmt.Errorf("graph %q: edit: edge %s -> %s is a cut; stages do not insert across explicit boundaries",
 					d.name, op.From, op.To)
 			}
 			name, err := fresh(op.Stage)
 			if err != nil {
-				restore()
 				return err
 			}
 			nn := &node{name: name, kind: nStage, stage: op.Stage, place: -1}
@@ -417,7 +408,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		case ScaleStage:
 			rec, err := d.applyScaleOp(op, nShards, newStages, &undo, fresh)
 			if err != nil {
-				restore()
 				return err
 			}
 			scales = append(scales, rec)
@@ -425,31 +415,25 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		case SwapStage:
 			n, ok := g.index[op.Node]
 			if !ok || n.kind != nStage {
-				restore()
 				return fmt.Errorf("graph %q: edit: SwapStage target %q is not a plain stage", d.name, op.Node)
 			}
 			cur, ok := ld.stages[op.Node]
 			if !ok {
-				restore()
 				return fmt.Errorf("graph %q: edit: stage %q has no live instance", d.name, op.Node)
 			}
 			if _, isBuf := cur.IsBuffer(); isBuf {
-				restore()
 				return fmt.Errorf("graph %q: edit: %q is a buffer; buffers hold in-flight items and do not swap", d.name, op.Node)
 			}
 			if _, isBuf := op.Stage.IsBuffer(); isBuf {
-				restore()
 				return fmt.Errorf("graph %q: edit: replacement for %q is a buffer; buffers do not swap", d.name, op.Node)
 			}
 			_, curPump := cur.IsPump()
 			_, newPump := op.Stage.IsPump()
 			if curPump != newPump {
-				restore()
 				return fmt.Errorf("graph %q: edit: replacement for %q changes the stage flavor (pump vs component)", d.name, op.Node)
 			}
 			if rn := op.Stage.Name(); rn != op.Node {
 				if _, dup := g.index[rn]; dup {
-					restore()
 					return fmt.Errorf("graph %q: edit: replacement name %q collides with another node", d.name, rn)
 				}
 			}
@@ -460,7 +444,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 			newStages[op.Node] = op.Stage
 
 		default:
-			restore()
 			return fmt.Errorf("graph %q: edit: unknown op %T", d.name, op)
 		}
 	}
@@ -469,7 +452,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 	// the prospective stage set.  Still reversible.
 	newPlan, err := core.PlanGraph(g.infos(), g.edges)
 	if err != nil {
-		restore()
 		return fmt.Errorf("graph %q: edit: %w", d.name, err)
 	}
 	all := make([]core.Stage, 0, len(g.nodes))
@@ -484,7 +466,6 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 		}
 	}
 	if err := core.CheckEventCapabilities(all); err != nil {
-		restore()
 		return fmt.Errorf("graph %q: edit: %w", d.name, err)
 	}
 
@@ -536,54 +517,10 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 	}
 	pinScalePlacements(newPlan, newShard, scales)
 
-	// Phase 4: the point of no return.  Quiesce the whole deployment at a
-	// pump-cycle boundary (virtual clock frozen, in-flight items parked in
-	// buffers and links), exactly like Rebalance.
-	d.mu.Lock()
-	if d.finished {
-		d.mu.Unlock()
-		restore()
-		return ErrDeploymentDone
-	}
-	for _, p := range d.pipelines {
-		if perr := p.Err(); perr != nil {
-			d.mu.Unlock()
-			restore()
-			return fmt.Errorf("graph %q: edit refused, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-		if !p.ReachedEOS() && hasCoroutines(p) {
-			d.mu.Unlock()
-			restore()
-			return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
-		}
-	}
-	d.rebalancing = true
-	d.gen++
-	old := make([]*core.Pipeline, len(d.pipelines))
-	copy(old, d.pipelines)
-	d.mu.Unlock()
-
-	for _, p := range old {
-		p.Detach()
-	}
-	for _, p := range old {
-		<-p.Done()
-	}
-	for _, p := range old {
-		if perr := p.Err(); perr != nil {
-			restore()
-			d.mu.Lock()
-			d.rebalancing = false
-			d.mu.Unlock()
-			d.seal()
-			d.abandon()
-			return fmt.Errorf("graph %q: edit aborted, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-	}
-
-	// Phase 5: apply the runtime mutations while everything is parked — tee
-	// port surgery, the stage table, and the plan swap.
-	editErr := func() error {
+	// Phase 4: quiesce, apply and resume through the move transaction.  The
+	// runtime mutations below run while every pipeline is parked.
+	return d.transact("edit", func() error {
+		committed = true
 		for _, a := range attaches {
 			got := ld.splits[a.split].(outAdder).AddOut()
 			if got != a.port {
@@ -618,15 +555,35 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 				delete(ld.stages, name)
 			}
 		}
-		return nil
-	}()
 
-	var redeployErr error
-	if editErr == nil {
+		// Swap the plan.  Detached branches leave the books (redeploy keeps
+		// recomposing them from ld.draining until they reach end of stream);
+		// a scale renames the segments around the scaled stage (the
+		// trunk and tail take new first>>last names): every segment name
+		// that vanished from the plan has its counters folded into the
+		// retired stats before redeploy composes the new names over the
+		// same stage instances.
+		newNames := make(map[string]bool, len(newPlan.Segments))
+		for _, seg := range newPlan.Segments {
+			newNames[seg.Name()] = true
+		}
 		d.mu.Lock()
 		for _, dr := range detaches {
 			dr.pipe = d.bySegment[dr.segName]
 			delete(d.bySegment, dr.segName)
+			ld.draining[dr.segName] = dr
+		}
+		var stale []string
+		for name := range d.bySegment {
+			if !newNames[name] {
+				stale = append(stale, name)
+			}
+		}
+		sort.Strings(stale)
+		gone := make([]*core.Pipeline, len(stale))
+		for i, name := range stale {
+			gone[i] = d.bySegment[name]
+			delete(d.bySegment, name)
 		}
 		ld.plan = newPlan
 		ld.shardOf = newShard
@@ -637,70 +594,13 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 				ld.foldRetired(dr.segName, dr.pipe)
 			}
 		}
-		if len(scales) > 0 {
-			// A scale renames the segments around the scaled stage (the trunk
-			// and tail take new first>>last names), so the old names vanish
-			// from the plan: fold their counters into the retired stats and
-			// drop the stale book entries before redeploy composes the new
-			// names over the same stage instances.
-			newNames := make(map[string]bool, len(newPlan.Segments))
-			for _, seg := range newPlan.Segments {
-				newNames[seg.Name()] = true
-			}
-			d.mu.Lock()
-			var stale []string
-			for name := range d.bySegment {
-				if !newNames[name] {
-					stale = append(stale, name)
-				}
-			}
-			sort.Strings(stale)
-			pipes := make([]*core.Pipeline, len(stale))
-			for i, name := range stale {
-				pipes[i] = d.bySegment[name]
-				delete(d.bySegment, name)
-			}
-			d.mu.Unlock()
-			for i, name := range stale {
-				if pipes[i] != nil {
-					ld.foldRetired(name, pipes[i])
-				}
+		for i, name := range stale {
+			if gone[i] != nil {
+				ld.foldRetired(name, gone[i])
 			}
 		}
-		redeployErr = ld.redeploy()
-		if redeployErr == nil {
-			redeployErr = ld.drainDetached(detaches)
-		}
-	} else {
-		redeployErr = editErr
-	}
-
-	d.mu.Lock()
-	d.rebalancing = false
-	started := d.started
-	stopReq := d.stopReq
-	if redeployErr != nil && d.deployErr == nil {
-		d.deployErr = fmt.Errorf("graph %q: edit: %w", d.name, redeployErr)
-	}
-	d.mu.Unlock()
-	d.seal()
-	if redeployErr != nil {
-		// Past the quiesce point a failure winds the deployment down like a
-		// failed deploy/rebalance: stop what runs, close the links, surface
-		// the error — never resume a stream that silently lost structure.
-		d.abandon()
-		return d.Err()
-	}
-	if err := ld.applyRebinds(rebinds); err != nil {
-		return err
-	}
-	if started {
-		d.broadcast(events.Start)
-	}
-	if stopReq {
-		d.broadcast(events.Stop)
-	}
-	return nil
+		return ld.applyRebinds(rebinds)
+	})
 }
 
 // drainDetached composes the leaving branches of DetachBranch ops: the
@@ -709,18 +609,13 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 // item into its sink and ends with a clean end of stream.  A branch that
 // had already reached end of stream needs no drain.
 //
-// Drain pipelines are off-plan, so redeploy drops them from the books on
-// the NEXT edit after quiescing them — they must be recomposed here until
-// they reach end of stream, or a branch still mid-drain would be stranded
-// with items in flight and, for a linked branch, a boundary link that never
+// Drain pipelines are off-plan: every move transaction quiesces them along
+// with everything else, and redeploy must recompose them here until they
+// reach end of stream — or a branch still mid-drain would be stranded with
+// items in flight and, for a linked branch, a boundary link that never
 // closes (its wake registration would hold the receiving scheduler open
-// forever).  ld.draining carries them across edits.
-func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
-	ld.rebalance = true
-	defer func() { ld.rebalance = false }()
-	for _, dr := range detaches {
-		ld.draining[dr.segName] = dr
-	}
+// forever).  ld.draining carries them across transactions.
+func (ld *localDeploy) drainDetached() error {
 	names := make([]string, 0, len(ld.draining))
 	for name := range ld.draining {
 		names = append(names, name)
@@ -738,7 +633,7 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 				delete(ld.draining, segName)
 				continue
 			}
-			// Quiesced mid-drain by this edit: fold the superseded
+			// Quiesced mid-drain by this move: fold the superseded
 			// pipeline's counters and recompose below.
 			ld.foldRetired(ld.g.name+"/"+dr.segName+"/detached", dr.drain)
 		} else if dr.pipe != nil && dr.pipe.ReachedEOS() {

@@ -15,6 +15,7 @@ import (
 	"infopipes/internal/qos"
 	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
+	"infopipes/internal/uthread"
 )
 
 // This file tests Deployment.Edit — live graph surgery on local targets:
@@ -224,7 +225,8 @@ func TestEditAttachDetachBranch(t *testing.T) {
 }
 
 // editRefusalGraph builds a graph with every structure the validation layer
-// guards: a cut, a route diamond into a merge, pumps and plain stages.
+// guards: a cut, a route diamond into a merge, pumps and plain stages, and a
+// scalable stage "w" carrying a placement hint.
 func editRefusalGraph() (*graph.Graph, *pipes.CollectSink) {
 	g := graph.New("editguard")
 	g.Add(core.Comp(pipes.NewCounterSource("src", 60)))
@@ -246,9 +248,10 @@ func editRefusalGraph() (*graph.Graph, *pipes.CollectSink) {
 		g.Pipe(fmt.Sprintf("tee:%d", i), p, fmt.Sprintf("mrg:%d", i))
 	}
 	g.Add(core.Pmp(pipes.NewFreePump("po")))
+	g.Add(core.Comp(pipes.NewCountingProbe("w")), graph.Place(1))
 	sink := pipes.NewCollectSink("sink")
 	g.Add(core.Comp(sink))
-	g.Pipe("mrg", "po", "sink")
+	g.Pipe("mrg", "po", "w", "sink")
 	return g, sink
 }
 
@@ -256,6 +259,9 @@ func editRefusalGraph() (*graph.Graph, *pipes.CollectSink) {
 // transaction property: a batch with one valid and one invalid op must
 // reject atomically — the valid op's stage name stays free, the flow runs
 // untouched — and a subsequent valid edit with the same name succeeds.
+// The doomed batches exercise every entry of the rollback's undo log: a
+// split's port count (AttachBranch), its detached ports (DetachBranch), a
+// node's implementation (SwapStage) and its placement hint (ScaleStage).
 func TestEditValidationAndRollback(t *testing.T) {
 	g, sink := editRefusalGraph()
 	grp := shard.NewGroup(shard.WithShardCount(2))
@@ -280,13 +286,27 @@ func TestEditValidationAndRollback(t *testing.T) {
 		{[]graph.EditOp{graph.AttachBranch{Split: "tee"}}, "no stages"},
 		{[]graph.EditOp{graph.InsertStage{From: "pump", To: "nosuch", Stage: ident("x")}}, "is not a plain stage"},
 		{[]graph.EditOp{graph.InsertStage{From: "f", To: "c", Stage: ident("x")}}, "explicit boundaries"},
-		{[]graph.EditOp{graph.InsertStage{From: "po", To: "sink", Stage: ident("pump")}}, "already in the graph"},
+		{[]graph.EditOp{graph.InsertStage{From: "w", To: "sink", Stage: ident("pump")}}, "already in the graph"},
 		{[]graph.EditOp{graph.SwapStage{Node: "po", Stage: ident("x")}}, "flavor"},
 		{[]graph.EditOp{graph.DetachBranch{Split: "tee", Port: 0}}, "only pure sink branches"},
 		{[]graph.EditOp{graph.DetachBranch{Split: "tee", Port: 7}}, "no attached branch"},
 		// The transaction: a perfectly valid insert rides with a doomed swap.
 		{[]graph.EditOp{
-			graph.InsertStage{From: "po", To: "sink", Stage: ident("spliced")},
+			graph.InsertStage{From: "w", To: "sink", Stage: ident("spliced")},
+			graph.SwapStage{Node: "nosuch", Stage: ident("y")},
+		}, "is not a plain stage"},
+		// A valid attach and a valid swap ride with a doomed swap.
+		{[]graph.EditOp{
+			graph.AttachBranch{Split: "tee", Place: -1, Stages: []core.Stage{
+				core.Pmp(pipes.NewFreePump("ap")), core.Comp(pipes.NewCollectSink("asink"))}},
+			graph.SwapStage{Node: "f", Stage: ident("f2")},
+			graph.SwapStage{Node: "nosuch", Stage: ident("y")},
+		}, "is not a plain stage"},
+		// A valid scale-out of the hinted stage rides with a doomed swap.
+		{[]graph.EditOp{
+			graph.ScaleStage{Node: "w", Replicas: 2, Build: func(i int) (core.Stage, error) {
+				return ident(fmt.Sprintf("w#%d", i)), nil
+			}},
 			graph.SwapStage{Node: "nosuch", Stage: ident("y")},
 		}, "is not a plain stage"},
 	}
@@ -297,6 +317,35 @@ func TestEditValidationAndRollback(t *testing.T) {
 		}
 	}
 
+	// The scaled node keeps its placement hint: its segment still plans
+	// onto shard 1.
+	plan, err := g.Plan()
+	if err != nil {
+		t.Fatalf("plan after rollback: %v", err)
+	}
+	for _, seg := range plan.Segments {
+		if seg.Stages[len(seg.Stages)-1] == "sink" && seg.Place != 1 {
+			t.Fatalf("segment %s plans onto shard %d after the rolled-back scale, want 1", seg.Name(), seg.Place)
+		}
+	}
+	// A lone attach still gets the split's next port (2): a leaked port
+	// count would declare port 3 against the instance's 2 and fail.
+	if err := d.Edit(graph.AttachBranch{Split: "tee", Place: -1, Stages: []core.Stage{
+		core.Pmp(pipes.NewFreePump("ap")), core.Comp(pipes.NewCollectSink("asink"))}}); err != nil {
+		t.Fatalf("attach after rollback: %v", err)
+	}
+	// A doomed detach of the new branch leaves it attached.
+	if err := d.Edit(graph.DetachBranch{Split: "tee", Port: 2},
+		graph.SwapStage{Node: "nosuch", Stage: ident("y")}); err == nil {
+		t.Fatal("doomed detach batch applied")
+	}
+	if plan, err = g.Plan(); err != nil {
+		t.Fatalf("plan after attach: %v", err)
+	}
+	if br := plan.SplitBranch["tee"]; len(br) != 3 || br[2] < 0 || plan.Segments[br[2]].Stages[0] != "ap" {
+		t.Fatalf("tee branches after attach and rolled-back detach = %v, want the new branch attached at port 2", br)
+	}
+
 	// The rolled-back batch must not have leaked the valid op's name: the
 	// same insert, alone, applies cleanly.
 	marked := 0
@@ -304,7 +353,7 @@ func TestEditValidationAndRollback(t *testing.T) {
 		marked++
 		return it, nil
 	}))
-	if err := d.Edit(graph.InsertStage{From: "po", To: "sink", Stage: splice}); err != nil {
+	if err := d.Edit(graph.InsertStage{From: "w", To: "sink", Stage: splice}); err != nil {
 		t.Fatalf("edit after rollback: %v", err)
 	}
 
@@ -320,6 +369,23 @@ func TestEditValidationAndRollback(t *testing.T) {
 	}
 	if marked != 60 {
 		t.Fatalf("spliced stage saw %d items, want 60 (the post-rollback edit must be live)", marked)
+	}
+
+	// The rolled-back swap of f must not survive in the declaration: a
+	// fresh deploy of the graph materializes the original f, not f2.
+	sched := uthread.New()
+	d2, err := g.Deploy(graph.OnScheduler(sched))
+	if err != nil {
+		t.Fatalf("redeploy: %v", err)
+	}
+	if p, ok := d2.Segment("src>>f"); !ok {
+		t.Fatal("redeploy has no segment src>>f")
+	} else if _, leaked := p.Placement("f2"); leaked {
+		t.Fatal("the rolled-back SwapStage leaked into the graph declaration")
+	}
+	d2.Stop()
+	if err := sched.Run(); err != nil {
+		t.Fatalf("redeploy run: %v", err)
 	}
 }
 

@@ -189,9 +189,6 @@ type localDeploy struct {
 	// the work happened, not where the segment lives now, or the balancer
 	// would chase migrated history around the group.
 	retiredByShard []retiredCounts
-	// rebalance marks a re-composition pass: links are reused and
-	// retargeted instead of created, finished pipelines are kept.
-	rebalance bool
 	// draining records detached branches still draining their tombstoned
 	// tee ports, keyed by retired segment name.  A later edit quiesces
 	// their drain pipelines along with everything else and redeploy drops
@@ -317,11 +314,12 @@ func (ld *localDeploy) run() (*Deployment, error) {
 	return ld.d, nil
 }
 
-// redeploy recomposes the graph after a rebalance changed ld.shardOf: the
-// caller (Deployment.Rebalance) has already detached every pipeline of the
-// previous generation.  Stages, tees and links are reused — their buffered
-// state carries the stream across — and segments whose stream already ended
-// are kept as-is instead of being recomposed.
+// redeploy recomposes the current generation inside a move transaction
+// (see Deployment.transact), after every pipeline of the previous one
+// detached: every planned segment on its (possibly new) shard, then every
+// detached branch still draining.  Stages, tees and links are reused — their
+// buffered state carries the stream across — and segments whose stream
+// already ended are kept as-is instead of being recomposed.
 func (ld *localDeploy) redeploy() error {
 	old := make(map[string]*core.Pipeline, len(ld.d.bySegment))
 	ld.d.mu.Lock()
@@ -331,8 +329,6 @@ func (ld *localDeploy) redeploy() error {
 	ld.d.pipelines = nil
 	ld.d.mu.Unlock()
 
-	ld.rebalance = true
-	defer func() { ld.rebalance = false }()
 	for _, si := range ld.plan.Order {
 		seg := ld.plan.Segments[si]
 		if p := old[seg.Name()]; p != nil && p.ReachedEOS() {
@@ -348,7 +344,7 @@ func (ld *localDeploy) redeploy() error {
 			return err
 		}
 	}
-	return nil
+	return ld.drainDetached()
 }
 
 // keepSegment re-registers a finished segment pipeline (and the relays of
@@ -379,71 +375,57 @@ func (ld *localDeploy) keepSegment(si int, p *core.Pipeline) error {
 }
 
 // composeSplitRelay (re)composes the relay pipeline that pumps a split
-// out-port across its boundary link from the trunk's shard, retargeting
-// the link to the branch's shard.  A relay whose stream already ended is
-// kept as-is.  Mirror image of composeMergeRelay, so the relay invariants
-// (EOS keep, retired fold, retarget, relayPipes registration) live in one
-// place per tee direction.
+// out-port across its boundary link from the trunk's shard into the
+// branch's shard.
 func (ld *localDeploy) composeSplitRelay(node string, port, branchShard int, seed typespec.Typespec) error {
 	link := ld.splitLinks[node][port]
-	lane := link.Name()
-	if rp := ld.relayPipes[lane]; rp != nil {
-		if rp.ReachedEOS() {
-			ld.d.mu.Lock()
-			ld.d.pipelines = append(ld.d.pipelines, rp)
-			ld.d.mu.Unlock()
-			return nil
-		}
-		ld.foldRetired(lane+"/relay", rp)
-	}
-	if ld.rebalance {
-		link.Retarget(ld.schedOf(branchShard))
-	}
 	relay := append([]core.Stage{
 		core.Comp(ld.splits[node].OutPort(port)),
-		core.Pmp(ld.relayPump(lane)),
-	}, link.SenderStages(lane)...)
-	rp, err := ld.compose(lane+"/relay", ld.shardOf[ld.plan.SplitTrunk[node]], relay, seed)
-	if err != nil {
-		return err
-	}
-	ld.relayPipes[lane] = rp
-	return nil
+		core.Pmp(ld.relayPump(link.Name())),
+	}, link.SenderStages(link.Name())...)
+	_, err := ld.composeRelay(link, ld.shardOf[ld.plan.SplitTrunk[node]], branchShard, relay, seed)
+	return err
 }
 
 // composeMergeRelay (re)composes the relay pipeline that drains a merge
-// boundary link into the merge's in-port on the anchor shard, retargeting
-// the link there first.  A relay whose stream already ended is kept as-is.
-// seed is the Typespec of the flow entering the link (the inbound
-// segment's out-spec).  Serves both composeSegment and keepSegment so the
-// relay invariants (EOS keep, retired fold, retarget, relayPipes and
-// mergeInSpec registration) live in one place.
+// boundary link into the merge's in-port on the anchor shard.  seed is the
+// Typespec of the flow entering the link (the inbound segment's out-spec).
 func (ld *localDeploy) composeMergeRelay(node string, port int, seed typespec.Typespec) error {
 	link := ld.mergeLinks[node][port]
+	anchor := ld.shardOf[ld.plan.MergeDown[node]]
+	relay := append(link.ReceiverStages(link.Name()),
+		core.Pmp(ld.relayPump(link.Name())),
+		core.Comp(ld.merges[node].InPort(port)))
+	rp, err := ld.composeRelay(link, anchor, anchor, relay, seed)
+	if rp != nil {
+		ld.mergeInSpec[node][port] = rp.SpecAt(len(relay) - 2)
+	}
+	return err
+}
+
+// composeRelay holds the relay invariants of both tee directions: a relay
+// whose stream already ended is kept as-is (re-registered in the new
+// generation, nil result); a live predecessor's counters are folded before
+// it is replaced; the link's delivery is retargeted to shard rx (a no-op
+// when it already delivers there) and the relay composes on shard run.
+func (ld *localDeploy) composeRelay(link *shard.Link, run, rx int, relay []core.Stage, seed typespec.Typespec) (*core.Pipeline, error) {
 	lane := link.Name()
 	if rp := ld.relayPipes[lane]; rp != nil {
 		if rp.ReachedEOS() {
 			ld.d.mu.Lock()
 			ld.d.pipelines = append(ld.d.pipelines, rp)
 			ld.d.mu.Unlock()
-			return nil
+			return nil, nil
 		}
 		ld.foldRetired(lane+"/relay", rp)
 	}
-	anchor := ld.shardOf[ld.plan.MergeDown[node]]
-	if ld.rebalance {
-		link.Retarget(ld.schedOf(anchor))
-	}
-	relay := append(link.ReceiverStages(lane),
-		core.Pmp(ld.relayPump(lane)),
-		core.Comp(ld.merges[node].InPort(port)))
-	rp, err := ld.compose(lane+"/relay", anchor, relay, seed)
+	link.Retarget(ld.schedOf(rx))
+	rp, err := ld.compose(lane+"/relay", run, relay, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ld.relayPipes[lane] = rp
-	ld.mergeInSpec[node][port] = rp.SpecAt(len(relay) - 2)
-	return nil
+	return rp, nil
 }
 
 // laneName renders the canonical name of a tee-boundary relay lane.
@@ -515,9 +497,7 @@ func (ld *localDeploy) composeSegment(si int) error {
 	case core.EndCut:
 		seed = ld.segOutSpec[plan.Cuts[h.Port].FromSeg]
 		link := ld.cutLinks[h.Port]
-		if ld.rebalance {
-			link.Retarget(ld.schedOf(own))
-		}
+		link.Retarget(ld.schedOf(own))
 		stages = append(stages, link.ReceiverStages(link.Name())...)
 	}
 
@@ -562,7 +542,6 @@ func (ld *localDeploy) composeSegment(si int) error {
 				ld.mergeLinks[t.Node][t.Port] = link
 				ld.addLink(link)
 			}
-			// Retargeting (on rebalance) happens in composeMergeRelay.
 			stages = append(stages, link.SenderStages(lane)...)
 			pendingRelay = &mergeRelay{node: t.Node, port: t.Port}
 		}

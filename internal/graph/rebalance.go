@@ -6,13 +6,14 @@ import (
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
+	"infopipes/internal/vclock"
 )
 
 // Rebalancing errors.
 var (
 	// ErrNotRebalancable marks a deployment whose target has no placement
-	// dimension to adjust (single scheduler) or whose placement is not
-	// locally controlled (remote nodes).
+	// dimension to adjust (single scheduler), or a cluster verb (Replace,
+	// FailOver) called on a local deployment.
 	ErrNotRebalancable = errors.New("graph: deployment target cannot rebalance (deploy OnGroup)")
 	// ErrNotMigratable marks a deployment with pipelines that run
 	// coroutine threads: migration quiesces at pump-cycle boundaries, which
@@ -22,34 +23,30 @@ var (
 	ErrDeploymentDone = errors.New("graph: deployment already finished")
 )
 
-// Rebalance moves segments of a live group deployment between shards
-// without losing a single in-flight item: the operator (or a BalancePolicy)
-// hands in new placement hints — segment name (see SegmentPlacements) to
-// shard index — and the deployment
-//
-//  1. quiesces: every pipeline of the current generation detaches at a
-//     pump-cycle boundary (an interrupted blocked push force-completes into
-//     its destination queue, which survives the migration; nothing is
-//     mistaken for end-of-stream),
-//  2. re-plans: the stored segmentation is re-wired for the new placement —
-//     boundary links are reused and retargeted so their queued items ride
-//     along, boundaries that newly cross shards get links, and segments
-//     whose stream already ended are kept as-is,
-//  3. resumes: the same stage instances are recomposed on their new
-//     schedulers and the start event is re-broadcast.
+// Rebalance moves segments of a live deployment without losing a single
+// in-flight item: the operator (or a BalancePolicy) hands in new placement
+// hints — segment name (see SegmentPlacements) to shard index — and the
+// deployment quiesces, re-places and resumes through the same move
+// transaction as Edit (see transact): boundary links are reused and
+// retargeted so their queued items ride along, boundaries that newly cross
+// shards get links, and segments whose stream already ended are kept as-is.
 //
 // Segments not named in hints keep their current shard.  Under the group's
 // shared virtual clock the migration is invisible in the item trace: the
-// clock freezes while the deployment is quiesced (detached pump timers are
-// purged) and the anchored pump schedules resume exactly where they left
-// off — the randomized determinism harness asserts byte-identical traces
-// with and without a mid-stream rebalance.
+// clock freezes while the deployment is quiesced and the anchored pump
+// schedules resume exactly where they left off — the randomized determinism
+// harness asserts byte-identical traces with and without a mid-stream
+// rebalance.
 //
 // Concurrent Rebalance calls are serialized; a Stop that races a Rebalance
-// is applied when the rebalance completes.  Only OnGroup deployments
-// rebalance.
+// is applied when the rebalance completes.  On an OnNodes deployment the
+// hints are node indices and Rebalance is Replace; a single-scheduler
+// deployment has no placement to adjust (ErrNotRebalancable).
 func (d *Deployment) Rebalance(hints map[string]int) error {
-	if d.remote != nil || d.ld == nil || d.ld.group == nil {
+	if d.remote != nil {
+		return d.Replace(hints)
+	}
+	if d.ld == nil || d.ld.group == nil {
 		return ErrNotRebalancable
 	}
 	d.rbMu.Lock()
@@ -62,8 +59,7 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 	for i, seg := range ld.plan.Segments {
 		segIdx[seg.Name()] = i
 	}
-	newShard := make([]int, len(ld.shardOf))
-	copy(newShard, ld.shardOf)
+	newShard := append([]int(nil), ld.shardOf...)
 	for name, sh := range hints {
 		i, ok := segIdx[name]
 		if !ok {
@@ -75,7 +71,36 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 		}
 		newShard[i] = sh
 	}
+	return d.transact("rebalance", func() error {
+		d.mu.Lock()
+		ld.shardOf = newShard // under d.mu: SegmentPlacements/Stats read it there
+		d.mu.Unlock()
+		return nil
+	})
+}
 
+// transact is the one move transaction of a local deployment — Rebalance
+// and Edit differ only in the apply step.  With d.rbMu held it
+//
+//  1. refuses a finished deployment, a failed pipeline (it has already
+//     dropped its in-flight item and broadcast a stop; moving it would erase
+//     the evidence) and pipelines running coroutine threads,
+//  2. quiesces: freezes the virtual clock, detaches every pipeline of the
+//     current generation at a pump-cycle boundary (an interrupted blocked
+//     push force-completes into its destination queue, which survives the
+//     move; nothing is mistaken for end-of-stream) and waits for its
+//     threads — the shard pins taken at deploy keep every scheduler alive
+//     through the window,
+//  3. aborts if a pipeline FAILED on the way down: the old generation stays
+//     registered, so Err/Wait keep reporting the failure,
+//  4. runs apply on the parked deployment and recomposes the new
+//     generation (redeploy), then seals it and re-broadcasts the Start and
+//     any Stop that raced the move.
+//
+// apply is the commit point: once it runs, a failure winds the deployment
+// down like a failed deploy (the error is latched in Err/Wait) — a stream
+// that silently lost structure never resumes.
+func (d *Deployment) transact(verb string, apply func() error) error {
 	d.mu.Lock()
 	if d.finished {
 		d.mu.Unlock()
@@ -83,12 +108,8 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 	}
 	for _, p := range d.pipelines {
 		if perr := p.Err(); perr != nil {
-			// A failed pipeline has already dropped its in-flight item and
-			// broadcast a stop; rebalancing a failing deployment would
-			// erase the evidence (see the post-quiesce check below for the
-			// race where the failure lands during the detach).
 			d.mu.Unlock()
-			return fmt.Errorf("graph %q: rebalance refused, pipeline %s failed: %w", d.name, p.Name(), perr)
+			return fmt.Errorf("graph %q: %s refused, pipeline %s failed: %w", d.name, verb, p.Name(), perr)
 		}
 		if !p.ReachedEOS() && hasCoroutines(p) {
 			d.mu.Unlock()
@@ -97,54 +118,42 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 	}
 	d.rebalancing = true
 	d.gen++
-	old := make([]*core.Pipeline, len(d.pipelines))
-	copy(old, d.pipelines)
+	old := append([]*core.Pipeline(nil), d.pipelines...)
 	d.mu.Unlock()
 
-	// Quiesce: detach every pipeline of the old generation and wait for
-	// its threads to exit.  The shard pins taken at deploy keep every
-	// scheduler alive through the window, and with the pump timers purged
-	// the group's virtual clock freezes until the flow resumes.
+	defer d.holdClock()()
 	for _, p := range old {
 		p.Detach()
 	}
 	for _, p := range old {
 		<-p.Done()
 	}
-
-	// A pipeline that FAILED (rather than detached cleanly) has already
-	// dropped its in-flight item and broadcast a stop: recomposing over it
-	// would erase the error and resume a stream that silently lost data.
-	// Abort instead — the old generation stays registered, so Err/Wait
-	// keep reporting the failure.
+	var aborted, err error
 	for _, p := range old {
 		if perr := p.Err(); perr != nil {
-			d.mu.Lock()
-			d.rebalancing = false
-			d.mu.Unlock()
-			d.seal()
-			d.abandon()
-			return fmt.Errorf("graph %q: rebalance aborted, pipeline %s failed: %w", d.name, p.Name(), perr)
+			aborted = fmt.Errorf("graph %q: %s aborted, pipeline %s failed: %w", d.name, verb, p.Name(), perr)
+			break
+		}
+	}
+	if aborted == nil {
+		if err = apply(); err == nil {
+			err = d.ld.redeploy()
 		}
 	}
 
 	d.mu.Lock()
-	ld.shardOf = newShard // under d.mu: SegmentPlacements/Stats read it there
-	d.mu.Unlock()
-	err := ld.redeploy()
-
-	d.mu.Lock()
 	d.rebalancing = false
-	started := d.started
-	stopReq := d.stopReq
+	started, stopReq := d.started, d.stopReq
 	if err != nil && d.deployErr == nil {
-		d.deployErr = fmt.Errorf("graph %q: rebalance: %w", d.name, err)
+		d.deployErr = fmt.Errorf("graph %q: %s: %w", d.name, verb, err)
 	}
 	d.mu.Unlock()
 	d.seal()
-	if err != nil {
-		// The recomposition failed mid-way: stop whatever was composed and
-		// surface the error through Err/Wait.
+	switch {
+	case aborted != nil:
+		d.abandon()
+		return aborted
+	case err != nil:
 		d.abandon()
 		return d.Err()
 	}
@@ -155,6 +164,24 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 		d.broadcast(events.Stop)
 	}
 	return nil
+}
+
+// holdClock freezes a shared virtual clock until the returned release
+// runs: a fresh group member counts as busy, and a busy member vetoes every
+// advance.  A quiesce, its recomposition and the Start broadcast that
+// resumes the flow thus land at one virtual instant.  Without the hold a
+// broadcast posted from outside the schedulers reaches some pumps before
+// others, the clock ticks in between, and the late pumps' items merge ticks
+// late — a trace divergence.  A no-op off the coordinated group clock.
+func (d *Deployment) holdClock() func() {
+	if d.ld == nil {
+		return func() {}
+	}
+	gm, ok := d.ld.schedOf(0).Clock().(*vclock.GroupMember)
+	if !ok {
+		return func() {}
+	}
+	return gm.Group().Member().Leave
 }
 
 // abandon winds a dead deployment down after a failed rebalance: stop
@@ -200,9 +227,9 @@ type BalancePolicy struct {
 	// (default 1024).
 	MinItems int64
 	// Movable, when set, restricts which segments the balancer may propose
-	// moving.  The cluster balancer uses it to skip segments that
-	// Deployment.Replace cannot re-place (sources, tee hosts, directly
-	// wired boundaries); local rebalancing leaves it nil.
+	// moving.  Nil means every segment on a local deployment and, on an
+	// OnNodes deployment, the segments Deployment.Replaceable accepts
+	// (sources, tee hosts and directly wired boundaries cannot move).
 	Movable func(segment string) bool
 }
 
@@ -236,6 +263,10 @@ func NewBalancer(p BalancePolicy) *Balancer {
 // whether a move is warranted.  It updates the balancer's epoch baseline
 // either way.
 func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
+	return b.plan(st, b.policy.Movable)
+}
+
+func (b *Balancer) plan(st GraphStats, movable func(string) bool) (map[string]int, bool) {
 	if len(st.Shards) < 2 {
 		return nil, false
 	}
@@ -284,7 +315,7 @@ func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
 		if seg.Shard != hot || seg.Finished || seg.Relay {
 			continue
 		}
-		if b.policy.Movable != nil && !b.policy.Movable(seg.Name) {
+		if movable != nil && !movable(seg.Name) {
 			continue
 		}
 		if dlt := segDelta[seg.Name]; dlt > bestDelta {
@@ -298,10 +329,15 @@ func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
 }
 
 // Balance runs one epoch of the balancer against the deployment: snapshot
-// stats, plan, and rebalance if warranted.  Reports whether a move was
-// made.
+// stats, plan, and rebalance if warranted — across shards on a group
+// deployment, across nodes (Replace) on an OnNodes one.  Reports whether a
+// move was made.
 func (d *Deployment) Balance(b *Balancer) (bool, error) {
-	hints, ok := b.Plan(d.Stats())
+	movable := b.policy.Movable
+	if movable == nil && d.remote != nil {
+		movable = func(seg string) bool { return d.Replaceable(seg) == nil }
+	}
+	hints, ok := b.plan(d.Stats(), movable)
 	if !ok {
 		return false, nil
 	}

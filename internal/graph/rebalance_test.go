@@ -13,6 +13,7 @@ import (
 	"infopipes/internal/item"
 	"infopipes/internal/pipes"
 	"infopipes/internal/shard"
+	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
 )
 
@@ -436,5 +437,79 @@ func TestRebalancePreservesFailure(t *testing.T) {
 	case <-waited:
 	case <-time.After(10 * time.Second):
 		t.Fatal("group wedged after the aborted rebalance (links holding external sources?)")
+	}
+}
+
+// TestRebalanceDuringDetachDrain: a Rebalance that lands while a detached
+// branch is still draining must keep draining it.  The move transaction
+// quiesces the off-plan drain pipeline along with everything else, so it
+// has to recompose it too — otherwise the branch's in-flight items strand
+// in its boundary link, the link never closes, and the group never
+// finishes.  The detached sink must hold a contiguous prefix and the main
+// branch every item.
+func TestRebalanceDuringDetachDrain(t *testing.T) {
+	const items = 400
+	g := graph.New("drainrb")
+	g.Add(core.Comp(pipes.NewCounterSource("src", items)))
+	g.Add(core.Pmp(pipes.NewClockedPump("pump", 2000)))
+	cpy := pipes.NewCopyTee("cpy", 2, 8, typespec.Block, typespec.Block)
+	g.Split(cpy)
+	g.Pipe("src", "pump", "cpy")
+	sink := pipes.NewCollectSink("sink")
+	g.Add(core.Pmp(pipes.NewFreePump("pa")))
+	g.Add(core.Comp(sink))
+	g.Pipe("cpy:0", "pa", "sink")
+	// The slow branch runs on the other shard, so its backlog sits in the
+	// boundary link when the detach lands.
+	sinkd := pipes.NewCollectSink("sinkd")
+	slow := core.Comp(pipes.NewFuncFilter("slow", func(_ *core.Ctx, it *item.Item) (*item.Item, error) {
+		time.Sleep(100 * time.Microsecond)
+		return it, nil
+	}))
+	g.Add(core.Pmp(pipes.NewFreePump("pd")), graph.Place(1))
+	g.Add(slow, graph.Place(1))
+	g.Add(core.Comp(sinkd), graph.Place(1))
+	g.Pipe("cpy:1", "pd", "slow", "sinkd")
+
+	grp := shard.NewGroup(shard.WithShardCount(2))
+	d, err := g.Deploy(graph.OnGroup(grp))
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	grp.Start()
+	d.Start()
+	editWait(d, sinkd, 5)
+	if err := d.Edit(graph.DetachBranch{Split: "cpy", Port: 1}); err != nil {
+		t.Fatalf("detach: %v", err)
+	}
+	if err := d.Rebalance(map[string]int{}); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		if err := d.Wait(); err != nil {
+			done <- err
+			return
+		}
+		done <- grp.Wait()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		grp.Stop()
+		t.Fatalf("deployment never finished after a rebalance during a detach drain (detached sink holds %d items); stats:\n%v",
+			sinkd.Count(), d.Stats())
+	}
+	if sink.Count() != items {
+		t.Fatalf("main branch delivered %d items, want %d", sink.Count(), items)
+	}
+	for i, it := range sinkd.Items() {
+		if it.Seq != int64(i+1) {
+			t.Fatalf("detached branch item %d has seq %d; want a contiguous prefix", i, it.Seq)
+		}
 	}
 }

@@ -161,7 +161,7 @@ func (rd *remoteDeploy) run() (*Deployment, error) {
 		rd.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
 	}
 	for _, si := range rd.plan.Order {
-		if err := rd.composeSegment(si); err != nil {
+		if err := rd.composeSegment(si, false); err != nil {
 			rd.abort()
 			return nil, err
 		}
@@ -257,12 +257,16 @@ func (rd *remoteDeploy) recvSpecs(lane string) []remote.StageSpec {
 	}
 }
 
-// sendSpecs renders the sender tail of a lane.  Durable lanes journal on
-// the sender; chain names the sending segment's inbound lane, which should
-// receive the downstream ack watermark (see nodeState.chainAck).
-func (rd *remoteDeploy) sendSpecs(lane, addr string, durable bool, chain string) []remote.StageSpec {
-	params := map[string]string{"addr": addr, "lane": lane}
-	if durable {
+// sendSpecs renders the sender tail of a lane, dialing the listener address
+// recorded for it.  Cluster lanes are durable: they journal on the sender,
+// and chain names the sending segment's inbound lane, which should receive
+// the downstream ack watermark (see nodeState.chainAck).  Merged flows are
+// no obstacle: each merge in-port stamps the item's Origin, so the lane
+// journals and dedups on the per-origin-monotone (origin, seq) pair (see
+// item.Item.Origin and netpipe's durable lanes).
+func (rd *remoteDeploy) sendSpecs(lane, chain string) []remote.StageSpec {
+	params := map[string]string{"addr": rd.laneAddr[lane], "lane": lane}
+	if rd.target.ClusterLanes {
 		params["durable"] = "1"
 		params["journal"] = strconv.Itoa(rd.target.JournalLimit)
 		if chain != "" {
@@ -275,44 +279,47 @@ func (rd *remoteDeploy) sendSpecs(lane, addr string, durable bool, chain string)
 	}
 }
 
-// laneDurable reports whether the lane leaving fromSeg runs the durable
-// protocol.  Merged flows are no obstacle: each merge in-port stamps the
-// item's Origin, so the lane journals and dedups on the per-origin-monotone
-// (origin, seq) pair (see item.Item.Origin and netpipe's durable lanes).
-func (rd *remoteDeploy) laneDurable(fromSeg int) bool {
-	return rd.target.ClusterLanes
+// isLane reports whether the tee boundary named lane, between segments a
+// and b, runs over a TCP lane: once a lane (its listener address recorded),
+// always a lane — a re-placement never rewires a boundary directly — and
+// otherwise whenever the two segments sit on different nodes.
+func (rd *remoteDeploy) isLane(lane string, a, b int) bool {
+	_, bound := rd.laneAddr[lane]
+	return bound || rd.nodeOf[a] != rd.nodeOf[b]
 }
 
-// segInLane returns segment si's inbound lane ("" when its head is wired
-// directly) and whether that lane is durable.
-func (rd *remoteDeploy) segInLane(si int) (string, bool) {
+// inLane returns segment si's inbound lane ("" when its head is wired
+// directly or it has no upstream) and the node holding the lane's
+// stationary sender.
+func (rd *remoteDeploy) inLane(si int) (string, int) {
 	switch h := rd.plan.Segments[si].Head; h.Kind {
 	case core.EndSplitOut:
 		trunk := rd.plan.SplitTrunk[h.Node]
-		if rd.nodeOf[trunk] != rd.nodeOf[si] {
-			return rd.laneName(h.Node, h.Port), rd.laneDurable(trunk)
+		if lane := rd.laneName(h.Node, h.Port); rd.isLane(lane, trunk, si) {
+			return lane, rd.nodeOf[trunk]
 		}
 	case core.EndCut:
 		if rd.cutIsLane(h.Port) {
-			return rd.cutLane(h.Port), rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg)
+			return rd.cutLane(h.Port), rd.nodeOf[rd.plan.Cuts[h.Port].FromSeg]
 		}
 	}
-	return "", false
+	return "", -1
 }
 
-// segOutLane returns segment si's (single) outbound lane and durability.
-func (rd *remoteDeploy) segOutLane(si int) (string, bool) {
+// outLane returns segment si's (single) outbound lane, "" when its tail is
+// wired directly, is a split trunk or a true sink.
+func (rd *remoteDeploy) outLane(si int) string {
 	switch t := rd.plan.Segments[si].Tail; t.Kind {
 	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] != rd.nodeOf[si] {
-			return rd.laneName(t.Node, t.Port), rd.laneDurable(si)
+		if lane := rd.laneName(t.Node, t.Port); rd.isLane(lane, rd.plan.MergeDown[t.Node], si) {
+			return lane
 		}
 	case core.EndCut:
 		if rd.cutIsLane(t.Port) {
-			return rd.cutLane(t.Port), rd.laneDurable(si)
+			return rd.cutLane(t.Port)
 		}
 	}
-	return "", false
+	return ""
 }
 
 // chainLane returns the inbound lane that segment si's outbound sender
@@ -321,25 +328,22 @@ func (rd *remoteDeploy) segOutLane(si int) (string, bool) {
 // has not cleared the lane BELOW si, which is what makes losing si (and
 // everything in flight through it) recoverable by replay.
 func (rd *remoteDeploy) chainLane(si int) string {
-	in, inDur := rd.segInLane(si)
-	if _, outDur := rd.segOutLane(si); inDur && outDur {
+	if in, _ := rd.inLane(si); rd.target.ClusterLanes && in != "" && rd.outLane(si) != "" {
 		return in
 	}
 	return ""
 }
 
 // listen pre-binds the rendezvous listener of a lane on a node and records
-// its address.  Cluster lanes are resumable: they park on a bare EOF so a
-// re-placed sender can dial back in.  Durable lanes add sequence dedup and
+// its address.  Cluster lanes are resumable — they park on a bare EOF so a
+// re-placed sender can dial back in — and durable: sequence dedup and
 // cumulative acks; chained listeners forward the downstream watermark
 // instead of acknowledging their own consumption.
-func (rd *remoteDeploy) listen(node int, lane string, durable, chained bool) (string, error) {
+func (rd *remoteDeploy) listen(node int, lane string, chained bool) error {
 	rd.touched[node] = true
 	params := map[string]string{"lane": lane, "depth": strconv.Itoa(rd.target.LinkDepth)}
 	if rd.target.ClusterLanes {
 		params["resume"] = "1"
-	}
-	if durable {
 		params["durable"] = "1"
 		params["ackevery"] = strconv.Itoa(rd.target.AckEvery)
 		if chained {
@@ -348,10 +352,10 @@ func (rd *remoteDeploy) listen(node int, lane string, durable, chained bool) (st
 	}
 	addr, err := rd.client(node).Control("listen", params)
 	if err != nil {
-		return "", fmt.Errorf("graph %q: node %d: listen %q: %w", rd.g.name, node, lane, err)
+		return fmt.Errorf("graph %q: node %d: listen %q: %w", rd.g.name, node, lane, err)
 	}
 	rd.laneAddr[lane] = addr
-	return addr, nil
+	return nil
 }
 
 // tenantSpec renders the deployment's tenant as a wire spec (nil when the
@@ -439,50 +443,76 @@ func (rd *remoteDeploy) pumpSpec(lane string) remote.StageSpec {
 	return spec
 }
 
-func (rd *remoteDeploy) composeSegment(si int) error {
+// teePort renders one port of a shared tee: a split out-port
+// ("ip/teeout") or a merge in-port ("ip/mergein").
+func (rd *remoteDeploy) teePort(kind, tee string, port int) remote.StageSpec {
+	name := fmt.Sprintf("%s.src%d", tee, port)
+	if kind == "ip/mergein" {
+		name = fmt.Sprintf("%s.in%d", tee, port)
+	}
+	return rd.teeSpec(kind, name, tee, map[string]string{"port": strconv.Itoa(port)})
+}
+
+// splitRelay renders the sender relay of a split out-port lane, composed on
+// the trunk's node: the tee port, a pump, and the lane's sender dialing the
+// branch's listener.
+func (rd *remoteDeploy) splitRelay(tee string, port int) []remote.StageSpec {
+	lane := rd.laneName(tee, port)
+	return append([]remote.StageSpec{rd.teePort("ip/teeout", tee, port), rd.pumpSpec(lane)},
+		rd.sendSpecs(lane, "")...)
+}
+
+// composeSegment composes segment si on its node, at deploy (replace
+// false, in topological order) and when Replace re-places it (replace
+// true).  The two differ only in who binds the lane listeners.  At deploy
+// a segment pre-binds the listeners of its outbound lanes before dialing
+// them (the receivers compose later) and the listener of its inbound split
+// lane before composing the trunk-side sender relay; a re-placed segment
+// binds fresh listeners for its inbound lanes (the stationary upstream
+// senders redial them afterwards) and dials the stationary downstream
+// listeners at their recorded addresses.  A re-placed segment keeps its
+// deploy-time seeds and relays, and needs no admission gate: replaceable
+// segments always have an upstream lane, so their items were admitted at
+// the true source.
+func (rd *remoteDeploy) composeSegment(si int, replace bool) error {
 	g, plan, seg := rd.g, rd.plan, rd.plan.Segments[si]
 	own := rd.nodeOf[si]
+	in, sender := rd.inLane(si)
+	out := rd.outLane(si)
+	chain := rd.chainLane(si)
 	depth := strconv.Itoa(rd.target.LinkDepth)
 	var specs []remote.StageSpec
 	var seed typespec.Typespec
 
 	switch h := seg.Head; h.Kind {
 	case core.EndSplitOut:
-		trunk := plan.SplitTrunk[h.Node]
-		seed = rd.segOutSpec[trunk]
-		if rd.nodeOf[trunk] == own {
-			specs = append(specs, rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", h.Node, h.Port),
-				h.Node, map[string]string{"port": strconv.Itoa(h.Port)}))
-		} else {
-			// Cross-node branch: this segment hosts the lane listener; a
-			// sender relay on the trunk's node pumps the tee port into it.
-			// The trunk composed earlier (topological order), so the tee
-			// already exists there and the relay's seed is resolved.
-			lane := rd.laneName(h.Node, h.Port)
-			durable := rd.laneDurable(trunk)
-			addr, err := rd.listen(own, lane, durable, rd.chainLane(si) == lane)
-			if err != nil {
-				return err
-			}
-			relay := []remote.StageSpec{
-				rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", h.Node, h.Port),
-					h.Node, map[string]string{"port": strconv.Itoa(h.Port)}),
-				rd.pumpSpec(lane),
-			}
-			relay = append(relay, rd.sendSpecs(lane, addr, durable, "")...)
-			if err := rd.compose(rd.nodeOf[trunk], lane+"/relay", relay, seed, -1, false); err != nil {
+		seed = rd.segOutSpec[plan.SplitTrunk[h.Node]]
+		if in == "" {
+			specs = append(specs, rd.teePort("ip/teeout", h.Node, h.Port))
+			break
+		}
+		// Cross-node branch: this segment hosts the lane listener; a sender
+		// relay on the trunk's node pumps the tee port into it.  The trunk
+		// composed earlier (topological order), so the tee already exists
+		// there and the relay's seed is resolved.
+		if err := rd.listen(own, in, chain == in); err != nil {
+			return err
+		}
+		if !replace {
+			relay := rd.splitRelay(h.Node, h.Port)
+			if err := rd.compose(sender, in+"/relay", relay, seed, -1, false); err != nil {
 				return err
 			}
 			// The branch's seed is the lane's wire spec — the relay's
 			// output after its marshal stage, carried-item-type included.
-			wire, err := rd.outSpec(rd.nodeOf[trunk], lane+"/relay", len(relay)-2)
+			wire, err := rd.outSpec(sender, in+"/relay", len(relay)-2)
 			if err != nil {
 				return err
 			}
-			rd.laneSeed[lane] = wire
-			seed = wire
-			specs = append(specs, rd.recvSpecs(lane)...)
+			rd.laneSeed[in] = wire
 		}
+		seed = rd.laneSeed[in]
+		specs = append(specs, rd.recvSpecs(in)...)
 	case core.EndMergeOut:
 		for port, ts := range rd.mergeInSpec[h.Node] {
 			merged, err := seed.Merge(ts)
@@ -494,19 +524,23 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 		}
 		specs = append(specs, rd.teeSpec("ip/mergeout", h.Node+".src", h.Node, nil))
 	case core.EndCut:
-		cut := plan.Cuts[h.Port]
-		seed = rd.segOutSpec[cut.FromSeg]
-		lane := rd.cutLane(h.Port)
-		if rd.cutIsLane(h.Port) {
-			// The upstream segment composed first and already dialed the
-			// pre-bound listener; attach its source here, seeded with the
-			// lane's wire spec.
-			seed = rd.laneSeed[lane]
-			specs = append(specs, rd.recvSpecs(lane)...)
-		} else {
+		seed = rd.segOutSpec[plan.Cuts[h.Port].FromSeg]
+		if in == "" {
+			lane := rd.cutLane(h.Port)
 			specs = append(specs, remote.StageSpec{Kind: "ip/cutsrc", Name: lane + "/source",
 				Params: map[string]string{"lane": lane, "depth": depth}})
+			break
 		}
+		// At deploy the upstream segment composed first and already dialed
+		// the pre-bound listener; attach its source here, seeded with the
+		// lane's wire spec.
+		if replace {
+			if err := rd.listen(own, in, chain == in); err != nil {
+				return err
+			}
+		}
+		seed = rd.laneSeed[in]
+		specs = append(specs, rd.recvSpecs(in)...)
 	}
 
 	for _, name := range seg.Stages {
@@ -514,54 +548,49 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 	}
 	tailStart := len(specs)
 
-	type mergeRelay struct {
-		node string
-		port int
-		lane string
-	}
-	var pendingRelay *mergeRelay
 	switch t := seg.Tail; t.Kind {
 	case core.EndSplitTrunk:
 		specs = append(specs, rd.teeSpec("ip/teesink", t.Node, t.Node, nil))
 	case core.EndMergeIn:
-		anchor := rd.nodeOf[plan.MergeDown[t.Node]]
-		if anchor == own {
-			specs = append(specs, rd.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", t.Node, t.Port),
-				t.Node, map[string]string{"port": strconv.Itoa(t.Port)}))
-		} else {
-			// Cross-node branch tail: pre-bind the lane listener on the
-			// merge's node, dial it from this segment, and compose the
-			// relay (listener -> pump -> merge port) afterwards, seeded
-			// with this segment's out-spec.
-			lane := rd.laneName(t.Node, t.Port)
-			// The merge relay is anchored (merge hosts cannot move), so its
-			// listener self-acks; the branch's sender still chains back to
-			// the branch's own inbound lane.
-			durable := rd.laneDurable(si)
-			addr, err := rd.listen(anchor, lane, durable, false)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, rd.sendSpecs(lane, addr, durable, rd.chainLane(si))...)
-			pendingRelay = &mergeRelay{node: t.Node, port: t.Port, lane: lane}
+		if out == "" {
+			specs = append(specs, rd.teePort("ip/mergein", t.Node, t.Port))
+			break
 		}
-	case core.EndCut:
-		cut := plan.Cuts[t.Port]
-		lane := rd.cutLane(t.Port)
-		if rd.cutIsLane(t.Port) {
-			durable := rd.laneDurable(si)
-			addr, err := rd.listen(rd.nodeOf[cut.ToSeg], lane, durable, rd.chainLane(cut.ToSeg) == lane)
-			if err != nil {
+		// Cross-node branch tail: the lane listener lives on the merge's
+		// node, and a relay there (listener -> pump -> merge port) composes
+		// after this segment, seeded with its out-spec.  The merge relay is
+		// anchored (merge hosts cannot move), so its listener self-acks; the
+		// branch's sender still chains back to the branch's own inbound lane.
+		if !replace {
+			if err := rd.listen(rd.nodeOf[plan.MergeDown[t.Node]], out, false); err != nil {
 				return err
 			}
-			specs = append(specs, rd.sendSpecs(lane, addr, durable, rd.chainLane(si))...)
-		} else {
+		}
+		specs = append(specs, rd.sendSpecs(out, chain)...)
+	case core.EndCut:
+		if out == "" {
+			lane := rd.cutLane(t.Port)
 			specs = append(specs, remote.StageSpec{Kind: "ip/cutsink", Name: lane + "/sink",
 				Params: map[string]string{"lane": lane, "depth": depth}})
+			break
 		}
+		if !replace {
+			to := plan.Cuts[t.Port].ToSeg
+			if err := rd.listen(rd.nodeOf[to], out, rd.chainLane(to) == out); err != nil {
+				return err
+			}
+		}
+		specs = append(specs, rd.sendSpecs(out, chain)...)
 	}
 
 	name := g.name + "/" + seg.Name()
+	if replace {
+		rd.touched[own] = true
+		if err := rd.client(own).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), false); err != nil {
+			return fmt.Errorf("graph %q: node %d: recompose %q: %w", g.name, own, name, err)
+		}
+		return nil
+	}
 	admit := rd.target.Tenant != nil && seg.Head.Kind == core.EndNone
 	if err := rd.compose(own, name, specs, seed, si, admit); err != nil {
 		return err
@@ -575,42 +604,31 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 	} else {
 		rd.segOutSpec[si] = seed
 	}
-	// Lane-tailed segments record the wire spec entering the lane (the
-	// spec after their marshal stage, at index tailStart) for the
-	// receiver's seed.
-	recordLaneSeed := func(lane string) error {
+	if out != "" {
+		// A lane-tailed segment records the wire spec entering the lane
+		// (the spec after its marshal stage, at index tailStart) for the
+		// receiver's seed.
 		wire, err := rd.outSpec(own, name, tailStart)
 		if err != nil {
 			return err
 		}
-		rd.laneSeed[lane] = wire
-		return nil
+		rd.laneSeed[out] = wire
 	}
-	if t := seg.Tail; t.Kind == core.EndCut && rd.cutIsLane(t.Port) {
-		if err := recordLaneSeed(rd.cutLane(t.Port)); err != nil {
+	if t := seg.Tail; t.Kind == core.EndMergeIn {
+		if out == "" {
+			rd.mergeInSpec[t.Node][t.Port] = rd.segOutSpec[si]
+			return nil
+		}
+		anchor := rd.nodeOf[plan.MergeDown[t.Node]]
+		relay := append(rd.recvSpecs(out), rd.pumpSpec(out), rd.teePort("ip/mergein", t.Node, t.Port))
+		if err := rd.compose(anchor, out+"/relay", relay, rd.laneSeed[out], -1, false); err != nil {
 			return err
 		}
-	}
-	if t := seg.Tail; t.Kind == core.EndMergeIn && pendingRelay == nil {
-		rd.mergeInSpec[t.Node][t.Port] = rd.segOutSpec[si]
-	}
-	if r := pendingRelay; r != nil {
-		if err := recordLaneSeed(r.lane); err != nil {
-			return err
-		}
-		anchor := rd.nodeOf[plan.MergeDown[r.node]]
-		relay := append(rd.recvSpecs(r.lane),
-			rd.pumpSpec(r.lane),
-			rd.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", r.node, r.port),
-				r.node, map[string]string{"port": strconv.Itoa(r.port)}))
-		if err := rd.compose(anchor, r.lane+"/relay", relay, rd.laneSeed[r.lane], -1, false); err != nil {
-			return err
-		}
-		ts, err := rd.outSpec(anchor, r.lane+"/relay", len(relay)-2)
+		ts, err := rd.outSpec(anchor, out+"/relay", len(relay)-2)
 		if err != nil {
 			return err
 		}
-		rd.mergeInSpec[r.node][r.port] = ts
+		rd.mergeInSpec[t.Node][t.Port] = ts
 	}
 	return nil
 }

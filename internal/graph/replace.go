@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/remote"
-	"infopipes/internal/typespec"
 )
 
 // ErrNotReplaceable marks a segment the cluster re-placement path cannot
@@ -29,66 +27,100 @@ var ErrNotReplaceable = errors.New("graph: segment cannot be re-placed")
 // without losing an in-flight item — the cluster form of Rebalance, driven
 // by the extended §2.4 protocol.  hints maps segment names (see
 // SegmentPlacements) to node indices.  There is no drain phase: the durable
-// lanes carry the in-flight items with the segment.  Per segment the
-// deployment
-//
-//  1. detaches the segment's pipeline on its old node (whatever was in the
-//     pipeline or its inbound lane is simply abandoned — the upstream
-//     journal still holds every item the chain below has not consumed),
-//  2. drops the old node's lane state — sender connections close WITHOUT
-//     an EOS frame, so the downstream resumable listeners park instead of
-//     ending the stream,
-//  3. recomposes the same segment spec on the new node, seeded with its
-//     upstream Typespec exactly like the original deploy, dialing the
-//     stationary downstream listeners at their unchanged addresses,
-//  4. redials the stationary upstream senders at the segment's new inbound
-//     listeners — which replays their journals — and re-broadcasts start.
-//
-// The downstream listeners' dedup watermarks drop whatever the replay
-// re-delivers, so the move is exactly-once at the boundary below the moved
-// segment.  Boundary lanes, once TCP, stay TCP (deploy with
-// WithClusterLanes so every cut edge is one).  Segments that hold stream
-// position or shared tee state refuse with ErrNotReplaceable; check with
-// Replaceable before proposing a move.  Concurrent Replace calls are
-// serialized with each other.
+// lanes carry the in-flight items with the segment (see move).  Boundary
+// lanes, once TCP, stay TCP (deploy with WithClusterLanes so every cut edge
+// is one).  Segments that hold stream position or shared tee state refuse
+// with ErrNotReplaceable; check with Replaceable before proposing a move.
+// Concurrent Replace calls are serialized with each other.
 func (d *Deployment) Replace(hints map[string]int) error {
+	return d.replace(-1, hints)
+}
+
+// FailOver moves every segment hosted on a dead node onto the hinted
+// survivors — Replace's disaster path, driven by Directory.OnDown.  The
+// dead node is never contacted: its lane state died with it (peers hold
+// parked, redialable lane halves), and the upstream durable journals carry
+// every item the chain below the dead segments had not consumed.  hints
+// maps segment names to destination node indices and must cover every
+// segment on the dead node; a relay pipeline (split/merge anchor wiring) on
+// the dead node is not recoverable and fails the call.  On error the failed
+// segment's placement reverts to the dead node and the error returns
+// without latching: the caller may retry with different survivors, and
+// only it knows when to give up (Fail).
+func (d *Deployment) FailOver(dead int, hints map[string]int) error {
+	if dead < 0 {
+		return fmt.Errorf("graph %q: failover of node %d", d.name, dead)
+	}
+	return d.replace(dead, hints)
+}
+
+// replace validates a batch of re-placements and runs each through move:
+// the named segments of a live Replace (dead < 0), or every segment hosted
+// on node dead.  Segments move downstream-first (plan segments are indexed
+// in topological order): when a co-placed chain dies together, the
+// upstream segment's recompose dials its downstream lane — which must
+// already be re-bound on the survivor, or the dial hits the dead node's
+// stale address.
+func (d *Deployment) replace(dead int, hints map[string]int) error {
 	if d.remote == nil {
 		return ErrNotRebalancable
 	}
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	r := d.remote
-	rd := r.rd
+	r, rd := d.remote, d.remote.rd
 	if !rd.target.ClusterLanes {
 		return fmt.Errorf("%w: deployment lanes are not redialable (deploy with WithClusterLanes)",
 			ErrNotReplaceable)
 	}
-	for name, node := range hints {
-		si, err := rd.segIndex(name)
-		if err != nil {
-			return err
+	live := dead < 0
+	var moves []int
+	if live {
+		for name := range hints {
+			si, err := rd.segIndex(name)
+			if err != nil {
+				return err
+			}
+			moves = append(moves, si)
 		}
-		if node < 0 || node >= len(r.clients) {
-			return fmt.Errorf("graph %q: segment %q hinted to node %d, cluster has %d",
-				d.name, name, node, len(r.clients))
+		sort.Slice(moves, func(i, j int) bool { return moves[i] > moves[j] })
+	} else {
+		if dead >= len(r.clients) {
+			return fmt.Errorf("graph %q: failover of node %d, cluster has %d", d.name, dead, len(r.clients))
 		}
-		if err := rd.replaceable(si, true); err != nil {
+		for _, p := range r.pipeList() {
+			if p.client == dead && p.seg < 0 {
+				return fmt.Errorf("graph %q: failover: relay %q is anchored on dead node %d (its tee cannot move)",
+					d.name, p.name, dead)
+			}
+		}
+		r.mu.Lock()
+		for si := len(rd.plan.Segments) - 1; si >= 0; si-- {
+			if rd.nodeOf[si] == dead {
+				moves = append(moves, si)
+			}
+		}
+		r.mu.Unlock()
+	}
+	for _, si := range moves {
+		name := rd.plan.Segments[si].Name()
+		dest, ok := hints[name]
+		if !ok {
+			return fmt.Errorf("graph %q: failover: no destination for segment %q on dead node %d",
+				d.name, name, dead)
+		}
+		if dest < 0 || dest >= len(r.clients) || dest == dead {
+			return fmt.Errorf("graph %q: segment %q hinted to unusable node %d (cluster has %d)",
+				d.name, name, dest, len(r.clients))
+		}
+		if err := rd.replaceable(si, live); err != nil {
 			return err
 		}
 	}
-	for name, node := range hints {
-		si, _ := rd.segIndex(name)
-		if rd.nodeOf[si] == node {
-			continue
-		}
-		var err error
-		if rd.plan.Segments[si].Tail.Kind == core.EndSplitTrunk {
-			err = r.replaceSplitTrunk(si, node)
-		} else {
-			err = r.replaceSegment(si, node, true)
-		}
-		if err != nil {
-			return err
+	for _, si := range moves {
+		if dest := hints[rd.plan.Segments[si].Name()]; dest != rd.nodeOf[si] {
+			if err := r.move(si, dest, live); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -125,11 +157,12 @@ func (rd *remoteDeploy) segIndex(name string) (int, error) {
 // segment.  Split trunks are movable on the LIVE path only (live=true —
 // manual Replace): the trunk detaches, the tee's out-port buffers and relay
 // journals drain on the still-running old node, and the tee is rebuilt from
-// its spec on the destination (see replaceSplitTrunk).  A dead node cannot
+// its spec on the destination (see move and drainTee).  A dead node cannot
 // drain, so failover keeps refusing trunk hosts.
 func (rd *remoteDeploy) replaceable(si int, live bool) error {
 	seg := rd.plan.Segments[si]
 	own := rd.nodeOf[si]
+	in, _ := rd.inLane(si)
 	switch h := seg.Head; h.Kind {
 	case core.EndNone:
 		return fmt.Errorf("%w: %q is a source segment (its stream position cannot move)",
@@ -137,23 +170,19 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 	case core.EndMergeOut:
 		return fmt.Errorf("%w: %q hosts the merge tee %q", ErrNotReplaceable, seg.Name(), h.Node)
 	case core.EndSplitOut:
-		if rd.nodeOf[rd.plan.SplitTrunk[h.Node]] == own {
+		if in == "" {
 			return fmt.Errorf("%w: %q is wired directly to split %q (no lane to redial)",
 				ErrNotReplaceable, seg.Name(), h.Node)
 		}
-		if !rd.laneDurable(rd.plan.SplitTrunk[h.Node]) {
-			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
 	case core.EndCut:
-		if !rd.cutIsLane(h.Port) {
+		if in == "" {
 			return fmt.Errorf("%w: %q's inbound cut is a same-node link (deploy with WithClusterLanes)",
 				ErrNotReplaceable, seg.Name())
 		}
-		if !rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg) {
-			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
+	}
+	if !rd.target.ClusterLanes {
+		return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
+			ErrNotReplaceable, seg.Name())
 	}
 	// A self-acking inbound listener (no durable outbound lane to chain to)
 	// anchors its acks one pop behind the pipeline's FIRST pump, which only
@@ -188,18 +217,18 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 		// the trunk's own node pulls the shared tee instance directly, and
 		// that reference cannot follow the tee to another node.
 		for _, bi := range rd.splitBranches(t.Node) {
-			if rd.nodeOf[bi] == own {
+			if lane, _ := rd.inLane(bi); lane == "" {
 				return fmt.Errorf("%w: branch %q is wired directly to split %q (move the branch off node %d first)",
 					ErrNotReplaceable, rd.plan.Segments[bi].Name(), t.Node, own)
 			}
 		}
 	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] == own {
+		if rd.outLane(si) == "" {
 			return fmt.Errorf("%w: %q is wired directly to merge %q (no lane to redial)",
 				ErrNotReplaceable, seg.Name(), t.Node)
 		}
 	case core.EndCut:
-		if !rd.cutIsLane(t.Port) {
+		if rd.outLane(si) == "" {
 			return fmt.Errorf("%w: %q's outbound cut is a same-node link (deploy with WithClusterLanes)",
 				ErrNotReplaceable, seg.Name())
 		}
@@ -219,87 +248,53 @@ func (rd *remoteDeploy) splitBranches(name string) []int {
 	return out
 }
 
-// preds lists the segments directly upstream of si.
-func (rd *remoteDeploy) preds(si int) []int {
-	var out []int
-	switch h := rd.plan.Segments[si].Head; h.Kind {
-	case core.EndSplitOut:
-		out = append(out, rd.plan.SplitTrunk[h.Node])
-	case core.EndMergeOut:
-		out = append(out, rd.plan.MergeBranch[h.Node]...)
-	case core.EndCut:
-		out = append(out, rd.plan.Cuts[h.Port].FromSeg)
-	}
-	return out
-}
-
-// ancestors lists every segment transitively upstream of si.
-func (rd *remoteDeploy) ancestors(si int) []int {
-	seen := make(map[int]bool)
-	var walk func(i int)
-	walk = func(i int) {
-		for _, p := range rd.preds(i) {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(si)
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	// Pause/resume fan-outs iterate this; keep the order deterministic
-	// instead of leaking the set's map order (caught by ipvet).
-	sort.Ints(out)
-	return out
-}
-
-// inboundLanes lists the lanes whose listener the segment hosts, paired
-// with the node holding the lane's stationary sender.
-func (rd *remoteDeploy) inboundLanes(si int) map[string]int {
-	out := make(map[string]int)
-	switch h := rd.plan.Segments[si].Head; h.Kind {
-	case core.EndSplitOut:
-		trunk := rd.plan.SplitTrunk[h.Node]
-		if rd.nodeOf[trunk] != rd.nodeOf[si] {
-			out[rd.laneName(h.Node, h.Port)] = rd.nodeOf[trunk]
-		}
-	case core.EndCut:
-		if rd.cutIsLane(h.Port) {
-			out[rd.cutLane(h.Port)] = rd.nodeOf[rd.plan.Cuts[h.Port].FromSeg]
-		}
-	}
-	return out
-}
-
-// outboundLanes lists the lanes the segment's pipeline sends on (their
-// listeners are stationary, downstream).
-func (rd *remoteDeploy) outboundLanes(si int) []string {
-	var out []string
-	switch t := rd.plan.Segments[si].Tail; t.Kind {
-	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] != rd.nodeOf[si] {
-			out = append(out, rd.laneName(t.Node, t.Port))
-		}
-	case core.EndCut:
-		if rd.cutIsLane(t.Port) {
-			out = append(out, rd.cutLane(t.Port))
-		}
-	}
-	return out
-}
-
-// replaceSegment executes the move of one (validated) segment.  oldUp says
-// whether the segment's current node is still reachable: a live node gets a
-// graceful detach and sided lane drops; a dead one is skipped entirely (its
-// sockets died with it).
-func (r *remoteDeployment) replaceSegment(si, dest int, oldUp bool) error {
+// move re-places one validated segment onto dest — the one bracket every
+// re-placement runs through.  oldUp says whether the segment's current node
+// is still reachable.
+//
+//  1. Retire: the pipelines' last counters fold into the retired stats.
+//  2. Vacate (live node only; a dead node's sockets died with it): detach
+//     the pipeline at a pump-cycle boundary — whatever was in it or its
+//     inbound lane is abandoned, the upstream journal still holds every
+//     item the chain below has not consumed — then drop the old node's
+//     lane halves: the segment owns its inbound LISTENER and its outbound
+//     SENDERS; its neighbours' halves of the same lanes (possibly on the
+//     same node) survive, and the senders close WITHOUT an EOS frame, so
+//     the downstream resumable listeners park instead of ending the stream.
+//     A split trunk also drains its tee first (see drainTee) and drops the
+//     tee instance.
+//  3. Recompose on dest: the same segment spec, the same pipeline name,
+//     fresh inbound listeners, outbound dials at the stationary listeners'
+//     unchanged addresses, the deploy-time seed (composeSegment).  A trunk's
+//     relays compose first: their factories rebuild the tee from its spec.
+//  4. Redial the stationary upstream sender at the new listener — its
+//     journal replays the unacked tail — and start dest.  The downstream
+//     dedup watermarks drop whatever the replay re-delivers, so the move is
+//     exactly-once at the boundary below the moved segment.
+//
+// A live move that fails after its detach latches the error and stops the
+// deployment (the segment is gone from both nodes).  A failover move only
+// returns the error with the placement reverted: the caller retries
+// another survivor.
+func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	rd := r.rd
 	seg := rd.plan.Segments[si]
 	old := rd.nodeOf[si]
 	pipeName := r.name + "/" + seg.Name()
+	in, sender := rd.inLane(si)
+	names := []string{pipeName}
+	senders := []string{rd.outLane(si)}
+	var ports []int // a split trunk's relay ports, which move with it
+	if t := seg.Tail; t.Kind == core.EndSplitTrunk {
+		senders = nil
+		for _, bi := range rd.splitBranches(t.Node) {
+			port := rd.plan.Segments[bi].Head.Port
+			lane := rd.laneName(t.Node, port)
+			ports = append(ports, port)
+			senders = append(senders, lane)
+			names = append(names, lane+"/relay")
+		}
+	}
 
 	r.mu.Lock()
 	r.replacing = true
@@ -312,296 +307,69 @@ func (r *remoteDeployment) replaceSegment(si, dest int, oldUp bool) error {
 		r.repGen++
 		r.mu.Unlock()
 	}()
-
-	// Senders feeding the moved segment, looked up before placement flips.
-	inbound := rd.inboundLanes(si)
-
-	// 1. Retire the old generation.  Its counters are folded from the last
-	// snapshot that could be taken — best-effort: the recomposed generation
-	// reprocesses the replayed tail, so a small overlap is inherent and
-	// only affects telemetry, never the stream.
-	var last remote.PipeStat
-	if oldUp {
-		if rows, err := r.clients[old].Stats(pipeName); err == nil {
-			for _, row := range rows {
-				if row.Name == pipeName {
-					last = row
-				}
-			}
+	fail := func(err error) error {
+		if oldUp {
+			return r.latch(seg.Name(), err)
 		}
+		return err
+	}
+
+	r.retire(old, names, oldUp)
+	if oldUp {
 		// Detach BEFORE dropping the inbound listener: dropping first would
 		// close the lane inbox under the running pipeline, which reads that
 		// as end of stream and propagates a spurious EOS frame downstream.
 		if err := r.clients[old].Detach(pipeName); err != nil {
 			return fmt.Errorf("graph %q: replace %q: detach: %w", r.name, seg.Name(), err)
 		}
-	} else {
-		r.mu.Lock()
-		if row, ok := r.lastRows[old][pipeName]; ok {
-			last = row
-		}
-		r.mu.Unlock()
-	}
-	r.mu.Lock()
-	ret := r.retired[pipeName]
-	ret.items += last.Items
-	ret.cycles += last.Cycles
-	ret.busyNs += last.BusyNanos
-	r.retired[pipeName] = ret
-	if r.retiredByNode == nil {
-		r.retiredByNode = make([]retiredCounts, len(r.clients))
-	}
-	r.retiredByNode[old].items += last.Items
-	r.retiredByNode[old].busyNs += last.BusyNanos
-	r.mu.Unlock()
-	// Sides matter: the moved segment owns its inbound LISTENERS and its
-	// outbound SENDERS on the old node — its neighbours' halves of the
-	// same lanes (possibly on the same node) must survive.
-	if oldUp {
-		for lane := range inbound {
-			if _, err := r.clients[old].Control("drop",
-				map[string]string{"lane": lane, "side": "listener"}); err != nil {
-				return fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err)
+		if len(ports) > 0 {
+			if err := r.drainTee(si, senders, names[1:], started); err != nil {
+				return err
 			}
 		}
-		for _, lane := range rd.outboundLanes(si) {
+		drops := [][2]string{{in, "listener"}}
+		for _, lane := range senders {
+			drops = append(drops, [2]string{lane, "sender"})
+		}
+		for _, dr := range drops {
+			if dr[0] == "" {
+				continue
+			}
 			if _, err := r.clients[old].Control("drop",
-				map[string]string{"lane": lane, "side": "sender"}); err != nil {
-				return fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err)
+				map[string]string{"lane": dr[0], "side": dr[1]}); err != nil {
+				return fail(fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), dr[0], err))
+			}
+		}
+		if len(ports) > 0 {
+			if _, err := r.clients[old].Control("droptee",
+				map[string]string{"tee": rd.g.name + "/" + seg.Tail.Node}); err != nil {
+				return fail(fmt.Errorf("graph %q: replace %q: droptee: %w", r.name, seg.Name(), err))
 			}
 		}
 	}
 
-	// 2. Recompose on the destination: the same segment spec, the same
-	// pipeline name, fresh inbound listeners, outbound dials at the
-	// stationary listeners' unchanged addresses, the same upstream seed.
 	r.mu.Lock()
 	rd.nodeOf[si] = dest // under r.mu: SegmentPlacements reads it there
 	r.mu.Unlock()
-	if err := rd.recomposeSegment(si); err != nil {
+	err := func() error {
+		for i, port := range ports {
+			rd.touched[dest] = true
+			if err := rd.client(dest).ComposeTenantSegment(names[i+1], rd.splitRelay(seg.Tail.Node, port),
+				rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
+				return fmt.Errorf("graph %q: node %d: recompose relay %q: %w", r.name, dest, names[i+1], err)
+			}
+		}
+		return rd.composeSegment(si, true)
+	}()
+	if err != nil {
 		r.mu.Lock()
 		rd.nodeOf[si] = old
 		r.mu.Unlock()
-		if oldUp {
-			// A manual Replace: the segment is gone from both nodes —
-			// surface the failure like a failed deploy, stop the graph and
-			// leave the error latched.
-			r.mu.Lock()
-			if r.startErr == nil {
-				r.startErr = fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg.Name(), err)
-			}
-			r.mu.Unlock()
-			r.stop()
-		}
-		// Under failover the caller retries another survivor, so nothing is
-		// latched here.
-		return err
+		return fail(err)
 	}
 	r.mu.Lock()
 	for i := range r.pipes {
-		if r.pipes[i].seg == si {
-			r.pipes[i].client = dest
-		}
-	}
-	r.mu.Unlock()
-
-	// 3. Point the stationary upstream senders at the new listeners — their
-	// journals replay into them — and start the recomposed pipeline.
-	for lane, senderNode := range inbound {
-		if !oldUp && senderNode == old {
-			continue // the sender died with the node (co-placed chain)
-		}
-		if _, err := r.clients[senderNode].Control("redial",
-			map[string]string{"lane": lane, "addr": rd.laneAddr[lane]}); err != nil {
-			return fmt.Errorf("graph %q: replace %q: redial %q: %w", r.name, seg.Name(), lane, err)
-		}
-	}
-	if started {
-		_ = r.clients[dest].SendEvent(events.Event{Type: events.Start, Origin: r.name})
-	}
-	return nil
-}
-
-// replaceSplitTrunk moves a segment that hosts a split tee — the live-only
-// arm of Replace.  The tee instance cannot cross nodes, but its SPEC can:
-// the protocol empties the old instance and rebuilds an identical one on
-// the destination.
-//
-//  1. Detach the trunk pipeline.  Unconsumed inbound items stay covered by
-//     the upstream journal (the trunk's listener acks only consumption).
-//  2. Drain: the relay pipelines keep running and pump the tee's out-port
-//     buffers into the branch lanes; poll the drained probe until every
-//     buffer is empty and every relay lane is connected and quiescent — at
-//     that point every item that entered the tee is on a branch listener's
-//     side of the wire (consumed or in its inbox).  The relay journals'
-//     delivered-but-unacked tails are discarded with the relays; the
-//     listeners' dedup watermarks make any replayed overlap harmless (see
-//     nodeState.drained).  A drain that never completes (a wedged or
-//     disconnected branch) rolls the trunk back onto its old node and
-//     reports the failure.
-//  3. Detach the relays (a detach stops at a pump-cycle boundary, so no
-//     item is in a relay's hand), re-verify emptiness, and drop the old
-//     node's tee instance, relay senders and trunk listener.
-//  4. Rebuild on the destination: relay pipelines first (their tee factory
-//     materializes a fresh tee from the carried spec — kind, ports,
-//     selector — and dials the stationary branch listeners), then the
-//     trunk itself (recomposeSegment attaches the tee sink).
-//  5. Redial the stationary upstream sender at the trunk's new listener —
-//     its journal replays the unacked tail through the fresh tee — and
-//     re-broadcast start.  The branch listeners' dedup watermarks absorb
-//     the replayed overlap, so the move stays exactly-once on every branch.
-func (r *remoteDeployment) replaceSplitTrunk(si, dest int) error {
-	rd := r.rd
-	seg := rd.plan.Segments[si]
-	old := rd.nodeOf[si]
-	pipeName := r.name + "/" + seg.Name()
-	teeName := seg.Tail.Node
-	teeKey := rd.g.name + "/" + teeName
-
-	branches := rd.splitBranches(teeName)
-	var relayLanes, relayPipes []string
-	for _, bi := range branches {
-		lane := rd.laneName(teeName, rd.plan.Segments[bi].Head.Port)
-		relayLanes = append(relayLanes, lane)
-		relayPipes = append(relayPipes, lane+"/relay")
-	}
-
-	r.mu.Lock()
-	r.replacing = true
-	r.repGen++
-	started := r.started
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.replacing = false
-		r.repGen++
-		r.mu.Unlock()
-	}()
-
-	inbound := rd.inboundLanes(si)
-
-	// Fold the trunk's and relays' counters before their pipelines retire.
-	rows := make(map[string]remote.PipeStat)
-	if nodeRows, err := r.clients[old].Stats(r.name + "/"); err == nil {
-		for _, row := range nodeRows {
-			rows[row.Name] = row
-		}
-	}
-	r.mu.Lock()
-	if r.retiredByNode == nil {
-		r.retiredByNode = make([]retiredCounts, len(r.clients))
-	}
-	for _, name := range append([]string{pipeName}, relayPipes...) {
-		row := rows[name]
-		ret := r.retired[name]
-		ret.items += row.Items
-		ret.cycles += row.Cycles
-		ret.busyNs += row.BusyNanos
-		r.retired[name] = ret
-		r.retiredByNode[old].items += row.Items
-		r.retiredByNode[old].busyNs += row.BusyNanos
-	}
-	r.mu.Unlock()
-
-	latch := func(err error) error {
-		r.mu.Lock()
-		if r.startErr == nil {
-			r.startErr = fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg.Name(), err)
-		}
-		r.mu.Unlock()
-		r.stop()
-		return err
-	}
-
-	// 1. Stop feeding the tee.
-	if err := r.clients[old].Detach(pipeName); err != nil {
-		return fmt.Errorf("graph %q: replace %q: detach: %w", r.name, seg.Name(), err)
-	}
-
-	// 2. Drain the tee through the still-running relays.
-	drainParams := map[string]string{"tee": teeKey, "lanes": strings.Join(relayLanes, ",")}
-	drained := false
-	deadline := time.Now().Add(10 * time.Second) //ipvet:allow wallclock drain deadline against a live remote node; its relays run on their own clock
-	for time.Now().Before(deadline) {            //ipvet:allow wallclock drain deadline check
-		v, err := r.clients[old].Control("drained", drainParams)
-		if err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drain probe: %w", r.name, seg.Name(), err))
-		}
-		if v == "1" {
-			drained = true
-			break
-		}
-	}
-	if !drained {
-		// The branches stopped acknowledging — re-attach the trunk where it
-		// was (its listener, tee and relays are all still in place) and
-		// leave the deployment running.
-		err := fmt.Errorf("graph %q: replace %q: split %q never drained (a branch is not consuming)",
-			r.name, seg.Name(), teeName)
-		if rerr := rd.recomposeSegment(si); rerr != nil {
-			return latch(err)
-		}
-		if started {
-			_ = r.clients[old].SendEvent(events.Event{Type: events.Start, Origin: r.name})
-		}
-		return err
-	}
-
-	// 3. Retire the relays at a pump-cycle boundary and re-verify: a
-	// straggler item caught between a buffer pop and a journal append by
-	// the LAST probe would have been journaled by now and show up here.
-	for _, name := range relayPipes {
-		if err := r.clients[old].Detach(name); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: detach relay %q: %w", r.name, seg.Name(), name, err))
-		}
-	}
-	if v, err := r.clients[old].Control("drained", drainParams); err != nil || v != "1" {
-		return latch(fmt.Errorf("graph %q: replace %q: split %q not empty after relay detach (err=%v)",
-			r.name, seg.Name(), teeName, err))
-	}
-	for _, lane := range relayLanes {
-		if _, err := r.clients[old].Control("drop",
-			map[string]string{"lane": lane, "side": "sender"}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err))
-		}
-	}
-	for lane := range inbound {
-		if _, err := r.clients[old].Control("drop",
-			map[string]string{"lane": lane, "side": "listener"}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err))
-		}
-	}
-	if _, err := r.clients[old].Control("droptee", map[string]string{"tee": teeKey}); err != nil {
-		return latch(fmt.Errorf("graph %q: replace %q: droptee: %w", r.name, seg.Name(), err))
-	}
-
-	// 4. Rebuild on the destination: relays first (their factories carry
-	// the tee spec), then the trunk.
-	r.mu.Lock()
-	rd.nodeOf[si] = dest
-	r.mu.Unlock()
-	for i, bi := range branches {
-		lane := relayLanes[i]
-		relay := []remote.StageSpec{
-			rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", teeName, rd.plan.Segments[bi].Head.Port),
-				teeName, map[string]string{"port": strconv.Itoa(rd.plan.Segments[bi].Head.Port)}),
-			rd.pumpSpec(lane),
-		}
-		relay = append(relay, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), "")...)
-		rd.touched[dest] = true
-		if err := rd.client(dest).ComposeTenantSegment(relayPipes[i], relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
-			return latch(fmt.Errorf("graph %q: node %d: recompose relay %q: %w", r.name, dest, relayPipes[i], err))
-		}
-	}
-	if err := rd.recomposeSegment(si); err != nil {
-		return latch(err)
-	}
-	r.mu.Lock()
-	for i := range r.pipes {
-		if r.pipes[i].seg == si {
-			r.pipes[i].client = dest
-		}
-		for _, name := range relayPipes {
+		for _, name := range names {
 			if r.pipes[i].name == name {
 				r.pipes[i].client = dest
 			}
@@ -609,11 +377,10 @@ func (r *remoteDeployment) replaceSplitTrunk(si, dest int) error {
 	}
 	r.mu.Unlock()
 
-	// 5. Replay the upstream journal into the rebuilt trunk and start.
-	for lane, senderNode := range inbound {
-		if _, err := r.clients[senderNode].Control("redial",
-			map[string]string{"lane": lane, "addr": rd.laneAddr[lane]}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: redial %q: %w", r.name, seg.Name(), lane, err))
+	if in != "" && (oldUp || sender != old) { // a dead co-placed sender died with the node
+		if _, err := r.clients[sender].Control("redial",
+			map[string]string{"lane": in, "addr": rd.laneAddr[in]}); err != nil {
+			return fail(fmt.Errorf("graph %q: replace %q: redial %q: %w", r.name, seg.Name(), in, err))
 		}
 	}
 	if started {
@@ -622,54 +389,108 @@ func (r *remoteDeployment) replaceSplitTrunk(si, dest int) error {
 	return nil
 }
 
-// recomposeSegment rebuilds one segment's pipeline on its (re-assigned)
-// node during a Replace: fresh listeners for inbound lanes, outbound dials
-// at the stationary lanes' recorded addresses, the deploy-time seed.
-func (rd *remoteDeploy) recomposeSegment(si int) error {
+// drainTee empties a detached split trunk's tee on its (live) node before
+// the trunk moves — the tee instance cannot cross nodes, but its SPEC can.
+// The relay pipelines keep running and pump the tee's out-port buffers
+// into the branch lanes; poll the drained probe until every buffer is
+// empty and every relay lane is connected and quiescent — at that point
+// every item that entered the tee is on a branch listener's side of the
+// wire (consumed or in its inbox).  The relay journals' delivered-but-
+// unacked tails are discarded with the relays; the listeners' dedup
+// watermarks make any replayed overlap harmless (see nodeState.drained).
+// Then the relays detach at a pump-cycle boundary and emptiness is
+// re-verified: a straggler caught between a buffer pop and a journal append
+// by the LAST probe would have been journaled by now and show up here.
+//
+// A drain that never completes (a wedged or disconnected branch) re-attaches
+// the trunk where it was — its listener, tee and relays are all still in
+// place — and reports the failure with the deployment still running.
+func (r *remoteDeployment) drainTee(si int, lanes, relays []string, started bool) error {
+	rd := r.rd
 	seg := rd.plan.Segments[si]
-	own := rd.nodeOf[si]
-	chain := rd.chainLane(si)
-	var specs []remote.StageSpec
-	var seed typespec.Typespec // replaceable segments always have an upstream
-
-	switch h := seg.Head; h.Kind {
-	case core.EndSplitOut:
-		lane := rd.laneName(h.Node, h.Port)
-		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, rd.laneDurable(rd.plan.SplitTrunk[h.Node]), chain == lane); err != nil {
-			return err
+	node := rd.nodeOf[si]
+	tee := seg.Tail.Node
+	params := map[string]string{"tee": rd.g.name + "/" + tee, "lanes": strings.Join(lanes, ",")}
+	drained := false
+	deadline := time.Now().Add(10 * time.Second) //ipvet:allow wallclock drain deadline against a live remote node; its relays run on their own clock
+	for time.Now().Before(deadline) {            //ipvet:allow wallclock drain deadline check
+		v, err := r.clients[node].Control("drained", params)
+		if err != nil {
+			return r.latch(seg.Name(), fmt.Errorf("graph %q: replace %q: drain probe: %w", r.name, seg.Name(), err))
 		}
-		specs = append(specs, rd.recvSpecs(lane)...)
-	case core.EndCut:
-		lane := rd.cutLane(h.Port)
-		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg), chain == lane); err != nil {
-			return err
+		if v == "1" {
+			drained = true
+			break
 		}
-		specs = append(specs, rd.recvSpecs(lane)...)
 	}
-	for _, name := range seg.Stages {
-		specs = append(specs, rd.stageSpec(name))
+	if !drained {
+		err := fmt.Errorf("graph %q: replace %q: split %q never drained (a branch is not consuming)",
+			r.name, seg.Name(), tee)
+		if rerr := rd.composeSegment(si, true); rerr != nil {
+			return r.latch(seg.Name(), err)
+		}
+		if started {
+			_ = r.clients[node].SendEvent(events.Event{Type: events.Start, Origin: r.name})
+		}
+		return err
 	}
-	switch t := seg.Tail; t.Kind {
-	case core.EndSplitTrunk:
-		specs = append(specs, rd.teeSpec("ip/teesink", t.Node, t.Node, nil))
-	case core.EndMergeIn:
-		lane := rd.laneName(t.Node, t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), chain)...)
-	case core.EndCut:
-		lane := rd.cutLane(t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), chain)...)
+	for _, name := range relays {
+		if err := r.clients[node].Detach(name); err != nil {
+			return r.latch(seg.Name(), fmt.Errorf("graph %q: replace %q: detach relay %q: %w", r.name, seg.Name(), name, err))
+		}
 	}
-	name := rd.g.name + "/" + seg.Name()
-	rd.touched[own] = true
-	// Replaceable segments always have an upstream lane, so their items were
-	// admitted at the true source — the recomposed pipeline needs the
-	// tenant's scheduling class on its new node, but no admission gate.
-	if err := rd.client(own).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), false); err != nil {
-		return fmt.Errorf("graph %q: node %d: recompose %q: %w", rd.g.name, own, name, err)
+	if v, err := r.clients[node].Control("drained", params); err != nil || v != "1" {
+		return r.latch(seg.Name(), fmt.Errorf("graph %q: replace %q: split %q not empty after relay detach (err=%v)",
+			r.name, seg.Name(), tee, err))
 	}
 	return nil
+}
+
+// retire folds the last counters of pipelines about to be replaced into the
+// retired stats, so Stats stays cumulative across re-placements: a
+// reachable node is asked for a final snapshot, a dead one contributes its
+// last cached rows.  Best-effort — the recomposed generation reprocesses
+// the replayed tail, so a small overlap is inherent and only affects
+// telemetry, never the stream.
+func (r *remoteDeployment) retire(node int, names []string, up bool) {
+	rows := make(map[string]remote.PipeStat)
+	if up {
+		if nodeRows, err := r.clients[node].Stats(r.name + "/"); err == nil {
+			for _, row := range nodeRows {
+				rows[row.Name] = row
+			}
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !up {
+		rows = r.lastRows[node]
+	}
+	if r.retiredByNode == nil {
+		r.retiredByNode = make([]retiredCounts, len(r.clients))
+	}
+	for _, name := range names {
+		row := rows[name]
+		ret := r.retired[name]
+		ret.items += row.Items
+		ret.cycles += row.Cycles
+		ret.busyNs += row.BusyNanos
+		r.retired[name] = ret
+		r.retiredByNode[node].items += row.Items
+		r.retiredByNode[node].busyNs += row.BusyNanos
+	}
+}
+
+// latch records a failed live move as the deployment's terminal error and
+// stops the graph: the moved segment is gone from both nodes.
+func (r *remoteDeployment) latch(seg string, err error) error {
+	r.mu.Lock()
+	if r.startErr == nil {
+		r.startErr = fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg, err)
+	}
+	r.mu.Unlock()
+	r.stop()
+	return err
 }
 
 // Supervise marks the deployment as owned by a failure supervisor: Wait and
@@ -741,83 +562,4 @@ func (d *Deployment) Finished() bool {
 	// With the whole deployment unreachable (no tail answered), nothing
 	// proves the stream ended — report unfinished.
 	return tails > 0
-}
-
-// FailOver moves every segment hosted on a dead node onto the hinted
-// survivors — Replace's disaster path, driven by Directory.OnDown.  The
-// dead node is never contacted: its lane state died with it (peers hold
-// parked, redialable lane halves), and the upstream durable journals carry
-// every item the chain below the dead segments had not consumed.  hints
-// maps segment names to destination node indices and must cover every
-// segment on the dead node; a relay pipeline (split/merge anchor wiring) on
-// the dead node is not recoverable and fails the call.
-//
-// The move is two-phase: first every moved segment's inbound lanes are
-// pre-bound on their destinations (so co-placed chains that died together
-// can dial each other's fresh listeners), then the segments recompose in
-// topological order, stationary senders redial (replaying their journals),
-// and the destinations get a start event.  On error the failed segment's
-// placement reverts to the dead node and the error returns without
-// latching: the caller may retry with different survivors, and only it
-// knows when to give up (Fail).
-func (d *Deployment) FailOver(dead int, hints map[string]int) error {
-	if d.remote == nil {
-		return ErrNotRebalancable
-	}
-	d.rbMu.Lock()
-	defer d.rbMu.Unlock()
-	r := d.remote
-	rd := r.rd
-	if !rd.target.ClusterLanes {
-		return fmt.Errorf("%w: deployment lanes are not redialable (deploy with WithClusterLanes)",
-			ErrNotReplaceable)
-	}
-	if dead < 0 || dead >= len(r.clients) {
-		return fmt.Errorf("graph %q: failover of node %d, cluster has %d", d.name, dead, len(r.clients))
-	}
-	// Everything hosted on the dead node must be recoverable and hinted.
-	var moves []int
-	r.mu.Lock()
-	for si := range rd.plan.Segments {
-		if rd.nodeOf[si] == dead {
-			moves = append(moves, si)
-		}
-	}
-	r.mu.Unlock()
-	for _, p := range r.pipeList() {
-		if p.client == dead && p.seg < 0 {
-			return fmt.Errorf("graph %q: failover: relay %q is anchored on dead node %d (its tee cannot move)",
-				d.name, p.name, dead)
-		}
-	}
-	if len(moves) == 0 {
-		return nil
-	}
-	// Recompose downstream-first (plan segments are indexed in topological
-	// order): when a co-placed chain dies together, the upstream segment's
-	// recompose dials its downstream lane — which must already be re-bound
-	// on the survivor, or the dial hits the dead node's stale address.
-	sort.Sort(sort.Reverse(sort.IntSlice(moves)))
-	dests := make(map[int]int, len(moves))
-	for _, si := range moves {
-		name := rd.plan.Segments[si].Name()
-		dest, ok := hints[name]
-		if !ok {
-			return fmt.Errorf("graph %q: failover: no destination for segment %q on dead node %d",
-				d.name, name, dead)
-		}
-		if dest == dead || dest < 0 || dest >= len(r.clients) {
-			return fmt.Errorf("graph %q: failover: segment %q hinted to unusable node %d", d.name, name, dest)
-		}
-		if err := rd.replaceable(si, false); err != nil {
-			return err
-		}
-		dests[si] = dest
-	}
-	for _, si := range moves {
-		if err := r.replaceSegment(si, dests[si], false); err != nil {
-			return err
-		}
-	}
-	return nil
 }

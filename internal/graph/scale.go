@@ -69,9 +69,9 @@ type scaleRec struct {
 
 // applyScaleOp validates one ScaleStage against the current declaration and
 // rewrites the declaration layer (nodes, edges, the new tees); the caller's
-// restore() undoes everything on failure.  New plain stages (replicas and
+// deferred rollback undoes everything unless the batch commits.  New plain stages (replicas and
 // their pumps) are registered in newStages for the event-capability check
-// and the Phase-5 stage-table update.
+// and the stage-table update at commit.
 func (d *Deployment) applyScaleOp(op ScaleStage, nShards int,
 	newStages map[string]core.Stage, undo *[]func(),
 	fresh func(core.Stage) (string, error)) (*scaleRec, error) {
@@ -269,7 +269,6 @@ func (d *Deployment) applyScaleOp(op ScaleStage, nShards int,
 		edge(repNames[i], core.GraphMainPort, pname, core.GraphMainPort)
 		edge(pname, core.GraphMainPort, mergeName, i)
 	}
-	downHead := out.To
 	if pumpIdx < nodeIdx {
 		// The segment's pump sits upstream of S and stays with the trunk;
 		// the merged tail needs its own driver.
@@ -278,9 +277,7 @@ func (d *Deployment) applyScaleOp(op ScaleStage, nShards int,
 			return nil, err
 		}
 		edge(mergeName, core.GraphMainPort, fold, core.GraphMainPort)
-		downHead = fold
-		edge(op.Node+"/fold", core.GraphMainPort, out.To, core.GraphMainPort)
-		_ = downHead
+		edge(fold, core.GraphMainPort, out.To, core.GraphMainPort)
 	} else {
 		edge(mergeName, core.GraphMainPort, out.To, core.GraphMainPort)
 	}

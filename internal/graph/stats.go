@@ -79,7 +79,8 @@ type ShardLoad struct {
 // assembled on demand by Deployment.Stats.  For remote (OnNodes)
 // deployments the snapshot is gathered by fanning the §2.4 stats op out to
 // every node: Shard indices then name cluster nodes (see Nodes) instead of
-// scheduler shards, and the same skew math drives the ClusterBalancer.
+// scheduler shards, and Deployment.Balance applies the same skew math
+// across nodes.
 type GraphStats struct {
 	// Segments lists the graph's segments in plan order, then the relay
 	// pipelines.

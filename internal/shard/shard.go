@@ -107,6 +107,7 @@ type Group struct {
 	load    []int // pipelines currently placed per shard
 	next    int   // round-robin cursor
 	started bool
+	open    bool // Start's shard references are held (released by Wait/Stop)
 	err     error
 	done    chan struct{} // closed once every shard's Run has returned
 }
@@ -227,8 +228,10 @@ func (g *Group) Loads() []int {
 // Start launches every shard's scheduler on its own goroutine, plus one
 // collector that joins them, records the first failure, and stops the rest
 // of the group on failure (a farm with a dead shard is broken, not
-// degraded).  Idempotent.  Place pipelines before starting, exactly as with
-// a single scheduler.
+// degraded).  Idempotent.  The group holds an external-source reference on
+// every shard from Start until Wait (or Stop), so pipelines may be placed
+// before or after starting: an empty shard does not finish before the work
+// meant for it arrives.
 func (g *Group) Start() {
 	g.mu.Lock()
 	if g.started {
@@ -236,7 +239,11 @@ func (g *Group) Start() {
 		return
 	}
 	g.started = true
+	g.open = true
 	errcs := make([]<-chan error, 0, len(g.shards))
+	for _, s := range g.shards {
+		_ = s.AddExternalSource() // a fresh scheduler has not stopped
+	}
 	for _, s := range g.shards {
 		errc := make(chan error, 1)
 		go func(s *uthread.Scheduler) {
@@ -283,10 +290,12 @@ func (g *Group) collect(errcs []<-chan error) {
 }
 
 // Wait blocks until every shard's Run has returned and reports the first
-// failure.  It starts the group if Start has not run yet, and may be called
-// repeatedly — the result is latched.
+// failure.  It starts the group if Start has not run yet, releases Start's
+// shard references — from here on a shard finishes once its work does —
+// and may be called repeatedly; the result is latched.
 func (g *Group) Wait() error {
 	g.Start()
+	g.release()
 	<-g.done
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -302,8 +311,22 @@ func (g *Group) Run() error {
 
 // Stop shuts every shard down.  Safe from any goroutine, idempotent.
 func (g *Group) Stop() {
+	g.release()
 	for _, s := range g.shards {
 		s.Stop()
+	}
+}
+
+// release drops Start's shard references exactly once.
+func (g *Group) release() {
+	g.mu.Lock()
+	open := g.open
+	g.open = false
+	g.mu.Unlock()
+	if open {
+		for _, s := range g.shards {
+			s.ReleaseExternalSource()
+		}
 	}
 }
 

@@ -253,11 +253,17 @@ func (s *Scheduler) Spawn(name string, prio Priority, code CodeFunc) *Thread {
 
 // AddExternalSource tells the scheduler that messages may arrive from
 // outside (network readers, OS signals), so an idle state with no timers is
-// not a deadlock.  Pair with ReleaseExternalSource.
-func (s *Scheduler) AddExternalSource() {
+// not a deadlock.  Pair with ReleaseExternalSource.  A scheduler that has
+// shut down — Run returned, or Stop was called — takes no reference and
+// reports ErrStopped: nothing posted to it would ever run.
+func (s *Scheduler) AddExternalSource() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return ErrStopped
+	}
 	s.extRefs++
-	s.mu.Unlock()
+	return nil
 }
 
 // ReleaseExternalSource undoes AddExternalSource and nudges the scheduler so
@@ -369,6 +375,11 @@ func (s *Scheduler) Run() error {
 		}
 		if s.live == 0 {
 			if s.extRefs == 0 {
+				// Finished: mark the scheduler stopped in the same critical
+				// section, so a racing AddExternalSource either lands first
+				// (and keeps Run going) or sees ErrStopped.
+				s.stopped = true
+				close(s.stopCh)
 				s.mu.Unlock()
 				return nil
 			}

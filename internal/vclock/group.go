@@ -246,6 +246,14 @@ func (m *GroupMember) leaveLocked() {
 		return
 	}
 	m.left = true
+	// Drop the member from the advance scan: short-lived members (a
+	// deployment holding the clock across a broadcast) must not grow it.
+	for i, other := range m.g.members {
+		if other == m {
+			m.g.members = append(m.g.members[:i], m.g.members[i+1:]...)
+			break
+		}
+	}
 	if m.outcome != nil {
 		// A leaving member cannot stay blocked: release it as interrupted.
 		out := m.outcome
